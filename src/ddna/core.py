@@ -15,12 +15,15 @@ sequence and then a balanced bracket string of the same length, with
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 ALPHABET = "ACGT"
 
 _COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
+_DROP_ALPHABET = str.maketrans("", "", ALPHABET)
 
 
 class AlphabetError(ValueError):
@@ -57,7 +60,7 @@ def canonical_word(text: str) -> str:
     'ACGT'
     """
     word = text.upper()
-    bad = [ch for ch in word if ch not in _COMPLEMENT]
+    bad = list(word.translate(_DROP_ALPHABET))
     if bad:
         raise AlphabetError(f"invalid letters {bad!r}; words use only A, C, G, T")
     return word
@@ -100,55 +103,93 @@ def pair_class(a: str, b: str) -> str:
     return "AT" if a in "AT" else "CG"
 
 
+def arc_depths(arcs: list[tuple[int, int]]) -> dict[tuple[int, int], int] | None:
+    """Nesting depth of each arc (1 for innermost, growing outward), or
+    ``None`` when two arcs cross (``i < k < j < l``).
+
+    ``arcs`` must be sorted, with ``i < j`` in each.  One stack sweep, so
+    the cost is O(m) for m arcs.  Two arcs that share their left end also
+    give ``None``; no valid arc set has them.
+    """
+    depths: dict[tuple[int, int], int] = {}
+    # Open arcs, with ends non-increasing toward the top, so only the top
+    # can cross the next arc; beside each, the deepest depth inside it.
+    stack: list[tuple[int, int]] = []
+    inner: list[int] = []
+    for arc in arcs + [(math.inf, math.inf)]:  # the sentinel closes every arc
+        while stack and stack[-1][1] <= arc[0]:
+            depth = inner.pop() + 1
+            depths[stack.pop()] = depth
+            if inner and inner[-1] < depth:
+                inner[-1] = depth
+        if stack and stack[-1][1] < arc[1]:
+            return None
+        stack.append(arc)
+        inner.append(0)
+    return depths
+
+
 def structure_violations(word: str, arcs: Iterable[tuple[int, int]]) -> list[Violation]:
     """Check the secondary-structure invariants, returning every failure.
 
     ``word`` must already be canonical.  Checks, in order: index ranges and
     ``i < j``, one pair per position, complementarity, and the no-crossing
-    rule.
+    rule.  Costs O(n + m log m) for n positions and m arcs, plus the
+    crossing pairs listed once :func:`arc_depths` rejects the arcs.
     """
     n = len(word)
     violations = []
     arcs = sorted(set(arcs))
-    for i, j in arcs:
-        if not (1 <= i <= n and 1 <= j <= n):
-            violations.append(Violation("index-range", f"arc ({i},{j}) outside 1..{n}"))
-        elif i >= j:
-            violations.append(Violation("arc-order", f"arc ({i},{j}) needs i < j"))
     checkable = [(i, j) for i, j in arcs if 1 <= i < j <= n]
-    seen: dict[int, tuple[int, int]] = {}
+    # The per-arc range and uniqueness scans run only once a count shows a failure.
+    if len(checkable) < len(arcs):
+        for i, j in arcs:
+            if not (1 <= i <= n and 1 <= j <= n):
+                violations.append(Violation("index-range", f"arc ({i},{j}) outside 1..{n}"))
+            elif i >= j:
+                violations.append(Violation("arc-order", f"arc ({i},{j}) needs i < j"))
+    ends = [p for arc in checkable for p in arc]
+    if len(set(ends)) < len(ends):
+        seen: dict[int, tuple[int, int]] = {}
+        for i, j in checkable:
+            for p in (i, j):
+                if p in seen and seen[p] != (i, j):
+                    violations.append(
+                        Violation("uniqueness", f"position {p} in both {seen[p]} and ({i},{j})")
+                    )
+                seen.setdefault(p, (i, j))
     for i, j in checkable:
-        for p in (i, j):
-            if p in seen and seen[p] != (i, j):
-                violations.append(
-                    Violation("uniqueness", f"position {p} in both {seen[p]} and ({i},{j})")
-                )
-            seen.setdefault(p, (i, j))
-    for i, j in checkable:
-        if not is_complementary(word[i - 1], word[j - 1]):
+        if _COMPLEMENT.get(word[i - 1]) != word[j - 1]:
             violations.append(
                 Violation(
                     "complementarity",
                     f"arc ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
                 )
             )
-    for a, (i, j) in enumerate(checkable):
-        for k, l in checkable[a + 1 :]:
-            if i < k < j < l:
-                violations.append(
-                    Violation("crossing", f"arcs ({i},{j}) and ({k},{l}) cross")
-                )
+    if arc_depths(checkable) is None:
+        violations.extend(_crossing_pairs(checkable, "crossing", "arcs"))
     return violations
+
+
+def _crossing_pairs(arcs: list[tuple[int, int]], rule: str, name: str) -> list[Violation]:
+    """Every crossing pair of the sorted ``arcs``, in list order: each arc
+    against the arcs that start strictly inside it."""
+    starts = [i for i, _ in arcs]
+    return [
+        Violation(rule, f"{name} ({i},{j}) and ({k},{l}) cross")
+        for i, j in arcs
+        for k, l in arcs[bisect_right(starts, i) : bisect_left(starts, j)]
+        if l > j
+    ]
 
 
 @dataclass(frozen=True)
 class SecondaryStructure:
     """A noncrossing Watson-Crick matching on one word.
 
-    Instances are immutable and validated at construction; use
-    :meth:`unchecked` to build a possibly-invalid value for later
-    validation (the CLI does this to report all problems in a file at
-    once).
+    Instances are immutable, and the public constructor validates them.
+    Operations trust valid operands and build their results without
+    validating again.
     """
 
     word: str
@@ -165,9 +206,12 @@ class SecondaryStructure:
 
     @classmethod
     def unchecked(cls, word: str, arcs: Iterable[tuple[int, int]]) -> "SecondaryStructure":
+        """Build from a canonical ``word`` without validating.  A value not
+        derived from valid operands must have no :meth:`violations` before
+        an operation uses it."""
         self = object.__new__(cls)
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in arcs))
+        object.__setattr__(self, "arcs", frozenset(map(tuple, arcs)))
         return self
 
     def violations(self) -> list[Violation]:

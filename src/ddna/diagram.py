@@ -34,12 +34,16 @@ combinatorial content of toehold-mediated strand displacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 from .core import (
     SecondaryStructure,
     Violation,
+    _crossing_pairs,
+    arc_depths,
     canonical_word,
     complement,
     is_complementary,
@@ -67,7 +71,11 @@ class DdnaFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Diagram:
-    """A morphism ``source -> target``; validated eagerly at construction."""
+    """A morphism ``source -> target``.
+
+    The public constructor validates eagerly.  Operations trust valid
+    operands and build their results without validating again.
+    """
 
     source: str
     target: str
@@ -97,12 +105,15 @@ class Diagram:
         source_arcs: Iterable[tuple[int, int]] = (),
         target_arcs: Iterable[tuple[int, int]] = (),
     ) -> "Diagram":
+        """Build from canonical words without validating.  A value not
+        derived from valid operands must pass :func:`validate` before an
+        operation uses it."""
         self = object.__new__(cls)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "through", frozenset(tuple(e) for e in through))
-        object.__setattr__(self, "source_arcs", frozenset(tuple(e) for e in source_arcs))
-        object.__setattr__(self, "target_arcs", frozenset(tuple(e) for e in target_arcs))
+        object.__setattr__(self, "through", frozenset(map(tuple, through)))
+        object.__setattr__(self, "source_arcs", frozenset(map(tuple, source_arcs)))
+        object.__setattr__(self, "target_arcs", frozenset(map(tuple, target_arcs)))
         return self
 
 
@@ -151,13 +162,13 @@ class LoopReport:
     loop_at_pairs: int = 0
     loop_cg_pairs: int = 0
 
-    def is_clean(self) -> bool:
-        """True when nothing was erased or left dangling."""
-        return not (self.closed_loops or self.erased_open_paths or self.dangled_endpoints)
-
 
 def validate(d: Diagram) -> list[Violation]:
-    """Check every diagram invariant, returning all failures with indices."""
+    """Check every diagram invariant, returning all failures with indices.
+
+    Costs O(n + m log m) for n boundary positions and m edges, plus the
+    crossing pairs listed once :func:`~ddna.core.arc_depths` rejects a side.
+    """
     ns, nt = len(d.source), len(d.target)
     violations = []
 
@@ -181,23 +192,21 @@ def validate(d: Diagram) -> list[Violation]:
     tgt_arcs = sorted((i, j) for i, j in d.target_arcs if 1 <= i < j <= nt)
 
     # Degree: each boundary position in at most one edge on its side.
-    src_uses: dict[int, list[str]] = {}
-    tgt_uses: dict[int, list[str]] = {}
+    src_uses: dict[int, list[tuple[str, int, int]]] = {}
+    tgt_uses: dict[int, list[tuple[str, int, int]]] = {}
     for i, j in through:
-        src_uses.setdefault(i, []).append(f"through ({i},{j})")
-        tgt_uses.setdefault(j, []).append(f"through ({i},{j})")
+        src_uses.setdefault(i, []).append(("through", i, j))
+        tgt_uses.setdefault(j, []).append(("through", i, j))
     for i, j in src_arcs:
-        src_uses.setdefault(i, []).append(f"source arc ({i},{j})")
-        src_uses.setdefault(j, []).append(f"source arc ({i},{j})")
+        src_uses.setdefault(i, []).append(("source arc", i, j))
+        src_uses.setdefault(j, []).append(("source arc", i, j))
     for i, j in tgt_arcs:
-        tgt_uses.setdefault(i, []).append(f"target arc ({i},{j})")
-        tgt_uses.setdefault(j, []).append(f"target arc ({i},{j})")
+        tgt_uses.setdefault(i, []).append(("target arc", i, j))
+        tgt_uses.setdefault(j, []).append(("target arc", i, j))
     for side, uses in (("source", src_uses), ("target", tgt_uses)):
-        for pos in sorted(uses):
-            if len(uses[pos]) > 1:
-                violations.append(
-                    Violation("degree", f"{side} position {pos} in {' and '.join(uses[pos])}")
-                )
+        for pos in sorted(p for p, used in uses.items() if len(used) > 1):
+            listed = " and ".join(f"{kind} ({i},{j})" for kind, i, j in uses[pos])
+            violations.append(Violation("degree", f"{side} position {pos} in {listed}"))
 
     for i, j in through:
         if d.source[i - 1] != d.target[j - 1]:
@@ -232,28 +241,24 @@ def validate(d: Diagram) -> list[Violation]:
         ("source arc", src_arcs, [i for i, _ in through]),
         ("target arc", tgt_arcs, [j for _, j in through]),
     ):
+        # Target anchors are unsorted when through wires cross, so bisect a
+        # sorted index and report the anchors inside each arc in list order.
+        order = sorted(range(len(anchors)), key=anchors.__getitem__)
+        keys = [anchors[x] for x in order]
         for i, j in arcs:
-            for k in anchors:
-                if i < k < j:
-                    violations.append(
-                        Violation(
-                            "arc-wire-crossing",
-                            f"{name} ({i},{j}) spans through anchor {k}",
-                        )
-                    )
-        for a, (i, j) in enumerate(arcs):
-            for k, l in arcs[a + 1 :]:
-                if i < k < j < l:
-                    violations.append(
-                        Violation("arc-arc-crossing", f"{name}s ({i},{j}) and ({k},{l}) cross")
-                    )
+            violations.extend(
+                Violation("arc-wire-crossing", f"{name} ({i},{j}) spans through anchor {anchors[x]}")
+                for x in sorted(order[bisect_right(keys, i) : bisect_left(keys, j)])
+            )
+        if arc_depths(arcs) is None:
+            violations.extend(_crossing_pairs(arcs, "arc-arc-crossing", f"{name}s"))
     return violations
 
 
 def identity(word: str) -> Diagram:
     """The straight-through matching on ``word``: wire ``i -> i``, no arcs."""
     word = canonical_word(word)
-    return Diagram(word, word, frozenset((i, i) for i in range(1, len(word) + 1)))
+    return Diagram.unchecked(word, word, ((i, i) for i in range(1, len(word) + 1)))
 
 
 def evaluation(word: str) -> Diagram:
@@ -264,10 +269,10 @@ def evaluation(word: str) -> Diagram:
     """
     word = canonical_word(word)
     n = len(word)
-    return Diagram(
+    return Diagram.unchecked(
         word + reverse_complement(word),
         "",
-        source_arcs=frozenset((i, 2 * n + 1 - i) for i in range(1, n + 1)),
+        source_arcs=((i, 2 * n + 1 - i) for i in range(1, n + 1)),
     )
 
 
@@ -275,17 +280,17 @@ def coevaluation(word: str) -> Diagram:
     """The cap ``empty -> dual(word) + word``; the cup reflected vertically."""
     word = canonical_word(word)
     n = len(word)
-    return Diagram(
+    return Diagram.unchecked(
         "",
         reverse_complement(word) + word,
-        target_arcs=frozenset((i, 2 * n + 1 - i) for i in range(1, n + 1)),
+        target_arcs=((i, 2 * n + 1 - i) for i in range(1, n + 1)),
     )
 
 
 def tensor(f: Diagram, g: Diagram) -> Diagram:
     """Horizontal juxtaposition: ``g`` drawn to the right of ``f``."""
     ds, dt = len(f.source), len(f.target)
-    return Diagram(
+    return Diagram.unchecked(
         f.source + g.source,
         f.target + g.target,
         through=f.through | {(i + ds, j + dt) for i, j in g.through},
@@ -351,48 +356,39 @@ def _component_ends(component: list[_Edge]) -> list[_Node]:
     return sorted(node for node, c in count.items() if c == 1)
 
 
-@dataclass
-class _Tally:
-    closed_loops: int = 0
-    erased_open_paths: int = 0
-    dangled_endpoints: int = 0
-    closed_loop_bonds: int = 0
-    erased_path_bonds: int = 0
-    absorbed_bonds: int = 0
-    loop_at_pairs: int = 0
-    loop_cg_pairs: int = 0
-
-
 def _classify(
     components: list[list[_Edge]],
     boundary_layers: frozenset[int],
     emit,
-    tally: _Tally,
-) -> None:
+) -> Counter[str]:
+    """Emit each surviving path and count what was erased, keyed by the
+    :class:`LoopReport` field each count fills."""
+    tally: Counter[str] = Counter()
     for component in components:
         ends = _component_ends(component)
         bonds = sum(1 for _, _, kind, _ in component if kind != "wire")
         input_bonds = sum(1 for _, _, kind, _ in component if kind == "arc")
         if not ends:
-            tally.closed_loops += 1
-            tally.closed_loop_bonds += input_bonds
-            tally.loop_at_pairs += sum(
+            tally["closed_loops"] += 1
+            tally["closed_loop_bonds"] += input_bonds
+            tally["loop_at_pairs"] += sum(
                 1 for _, _, kind, pt in component if kind != "wire" and pt == "AT"
             )
-            tally.loop_cg_pairs += sum(
+            tally["loop_cg_pairs"] += sum(
                 1 for _, _, kind, pt in component if kind != "wire" and pt == "CG"
             )
             continue
         on_boundary = [node for node in ends if node[0] in boundary_layers]
         if len(on_boundary) == 2:
             emitted_is_bond = emit(on_boundary[0], on_boundary[1])
-            tally.absorbed_bonds += bonds - (1 if emitted_is_bond else 0)
+            tally["absorbed_bonds"] += bonds - (1 if emitted_is_bond else 0)
         elif len(on_boundary) == 1:
-            tally.dangled_endpoints += 1
-            tally.erased_path_bonds += bonds
+            tally["dangled_endpoints"] += 1
+            tally["erased_path_bonds"] += bonds
         else:
-            tally.erased_open_paths += 1
-            tally.erased_path_bonds += bonds
+            tally["erased_open_paths"] += 1
+            tally["erased_path_bonds"] += bonds
+    return tally
 
 
 def bond_count(value: Union[Diagram, SecondaryStructure]) -> int:
@@ -448,21 +444,10 @@ def compose(f: Diagram, g: Diagram) -> tuple[Diagram, LoopReport]:
             target_arcs.add((min(pa, pb), max(pa, pb)))
         return True
 
-    tally = _Tally()
-    _classify(_trace_components(edges), frozenset({X, Z}), emit, tally)
-    result = Diagram(f.source, g.target, through, source_arcs, target_arcs)
+    tally = _classify(_trace_components(edges), frozenset({X, Z}), emit)
+    result = Diagram.unchecked(f.source, g.target, through, source_arcs, target_arcs)
     report = LoopReport(
-        closed_loops=tally.closed_loops,
-        erased_open_paths=tally.erased_open_paths,
-        dangled_endpoints=tally.dangled_endpoints,
-        interface_bonds_formed=0,
-        bonds_before=bond_count(f) + bond_count(g),
-        bonds_after=bond_count(result),
-        closed_loop_bonds=tally.closed_loop_bonds,
-        erased_path_bonds=tally.erased_path_bonds,
-        absorbed_bonds=tally.absorbed_bonds,
-        loop_at_pairs=tally.loop_at_pairs,
-        loop_cg_pairs=tally.loop_cg_pairs,
+        bonds_before=bond_count(f) + bond_count(g), bonds_after=bond_count(result), **tally
     )
     return result, report
 
@@ -488,7 +473,7 @@ def bend(f: Diagram) -> SecondaryStructure:
         | {(src(j), src(i)) for i, j in f.source_arcs}
         | {(tgt(i), tgt(j)) for i, j in f.target_arcs}
     )
-    return SecondaryStructure(word, frozenset(arcs))
+    return SecondaryStructure.unchecked(word, arcs)
 
 
 def unbend(structure: SecondaryStructure, source_length: int) -> Diagram:
@@ -511,12 +496,12 @@ def unbend(structure: SecondaryStructure, source_length: int) -> Diagram:
             target_arcs.add((p - k, q - k))
         else:
             through.add((k + 1 - p, q - k))
-    return Diagram(source, target, through, source_arcs, target_arcs)
+    return Diagram.unchecked(source, target, through, source_arcs, target_arcs)
 
 
 def structure_as_diagram(structure: SecondaryStructure) -> Diagram:
     """View a structure on ``w`` as the morphism ``empty -> w``."""
-    return Diagram("", structure.word, target_arcs=structure.arcs)
+    return Diagram.unchecked("", structure.word, target_arcs=structure.arcs)
 
 
 def zip_and_transfer(
@@ -573,21 +558,13 @@ def zip_and_transfer(
         arcs.add((min(pa, pb), max(pa, pb)))
         return True
 
-    tally = _Tally()
-    _classify(_trace_components(edges), frozenset({P, S}), emit, tally)
-    result = SecondaryStructure(fhat.word[:nx] + ghat.word[ny:], frozenset(arcs))
+    tally = _classify(_trace_components(edges), frozenset({P, S}), emit)
+    result = SecondaryStructure.unchecked(fhat.word[:nx] + ghat.word[ny:], arcs)
     report = LoopReport(
-        closed_loops=tally.closed_loops,
-        erased_open_paths=tally.erased_open_paths,
-        dangled_endpoints=tally.dangled_endpoints,
         interface_bonds_formed=ny,
         bonds_before=len(fhat.arcs) + len(ghat.arcs),
         bonds_after=len(result.arcs),
-        closed_loop_bonds=tally.closed_loop_bonds,
-        erased_path_bonds=tally.erased_path_bonds,
-        absorbed_bonds=tally.absorbed_bonds,
-        loop_at_pairs=tally.loop_at_pairs,
-        loop_cg_pairs=tally.loop_cg_pairs,
+        **tally,
     )
     return result, report
 
@@ -629,16 +606,6 @@ def parse_ddna(text: str) -> Diagram:
         edges[parts[0]].append((i, j))
     if len(words) < 2:
         raise DdnaFormatError("expected a source line and a target line")
-    raw_diagram = Diagram.unchecked(
-        canonical_word(words[0]),
-        canonical_word(words[1]),
-        edges["T"],
-        edges["S"],
-        edges["A"],
-    )
-    violations = validate(raw_diagram)
-    if violations:
-        raise DiagramError(violations)
     return Diagram(words[0], words[1], edges["T"], edges["S"], edges["A"])
 
 
@@ -652,17 +619,4 @@ def emit_ddna(d: Diagram) -> str:
 
 def format_report(report: LoopReport) -> str:
     """One ``key: value`` line per field, for diagnostic printing."""
-    pairs = [
-        ("closed_loops", report.closed_loops),
-        ("erased_open_paths", report.erased_open_paths),
-        ("dangled_endpoints", report.dangled_endpoints),
-        ("interface_bonds_formed", report.interface_bonds_formed),
-        ("bonds_before", report.bonds_before),
-        ("bonds_after", report.bonds_after),
-        ("closed_loop_bonds", report.closed_loop_bonds),
-        ("erased_path_bonds", report.erased_path_bonds),
-        ("absorbed_bonds", report.absorbed_bonds),
-        ("loop_at_pairs", report.loop_at_pairs),
-        ("loop_cg_pairs", report.loop_cg_pairs),
-    ]
-    return "\n".join(f"{key}: {value}" for key, value in pairs) + "\n"
+    return "".join(f"{f.name}: {getattr(report, f.name)}\n" for f in fields(LoopReport))

@@ -25,8 +25,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import yaml
-
 from .core import (
     SecondaryStructure,
     Violation,
@@ -319,6 +317,8 @@ def load_lexicon(text: str) -> Lexicon:
     Each entry's ``structure`` is the bracket line of a dot-bracket pair;
     the sequence line is the functor image of the entry's type.
     """
+    import yaml  # deferred: only lexicon readers pay for the import
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

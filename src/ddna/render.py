@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SecondaryStructure, brackets_of, pair_class
+from .core import SecondaryStructure, arc_depths, brackets_of, pair_class
 from .diagram import Diagram
 
 _FONT = 14.0
@@ -48,12 +48,10 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _arc_depths(arcs: frozenset[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """Nesting depth of each arc: 1 for innermost, growing outward."""
-    depths: dict[tuple[int, int], int] = {}
-    for i, j in sorted(arcs, key=lambda arc: arc[1] - arc[0]):
-        inner = [depths[a] for a in depths if i < a[0] and a[1] < j]
-        depths[i, j] = 1 + max(inner, default=0)
+def _depths(arcs: frozenset[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    depths = arc_depths(sorted(arcs))
+    if depths is None:
+        raise ValueError("cannot draw crossing arcs; validate the value first")
     return depths
 
 
@@ -86,7 +84,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
 def render_structure_svg(structure: SecondaryStructure, style: RenderStyle = RenderStyle()) -> str:
     """Bases on one line, pairs as colored arcs in the upper half-plane."""
     n = len(structure.word)
-    depths = _arc_depths(structure.arcs)
+    depths = _depths(structure.arcs)
     max_depth = max(depths.values(), default=0)
     margin = style.spacing
     top = margin + max_depth * style.arc_height
@@ -127,8 +125,8 @@ def _wire_arrow(x1: float, y1: float, x2: float, y2: float, base: str, color: st
 
 def render_diagram_svg(d: Diagram, style: RenderStyle = RenderStyle()) -> str:
     """Source row on top, target row below, wires and arcs between them."""
-    src_depths = _arc_depths(d.source_arcs)
-    tgt_depths = _arc_depths(d.target_arcs)
+    src_depths = _depths(d.source_arcs)
+    tgt_depths = _depths(d.target_arcs)
     levels = max(src_depths.values(), default=0) + max(tgt_depths.values(), default=0)
     margin = style.spacing
     n = max(len(d.source), len(d.target))
@@ -189,7 +187,7 @@ def render_structure_text(structure: SecondaryStructure) -> str:
     (mod 10) and unpaired positions with dots; the bracket line parses
     back to the input structure.
     """
-    depths = _arc_depths(structure.arcs)
+    depths = _depths(structure.arcs)
     sketch = ["."] * len(structure.word)
     for (i, j), depth in depths.items():
         sketch[i - 1] = sketch[j - 1] = str(depth % 10)

@@ -78,7 +78,7 @@ def enumerate_structures(
         return any(a < i < b < j for a, b in arcs)
 
     def extend(min_i: int, min_j: int) -> Iterator[SecondaryStructure]:
-        yield SecondaryStructure(word, frozenset(arcs))
+        yield SecondaryStructure.unchecked(word, arcs)
         for i in range(min_i, n + 1):
             if used[i]:
                 continue
@@ -145,14 +145,16 @@ def max_bond(
         best[i, j] = value
         return value
 
-    witnesses_memo: dict[tuple[int, int], list[frozenset[tuple[int, int]]]] = {}
+    witnesses_memo: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
 
-    def witnesses(i: int, j: int) -> list[frozenset[tuple[int, int]]]:
-        # All arc sets on i..j attaining bonds(i, j).  The branches below
-        # are disjoint (they differ in what happens at position i), so no
-        # deduplication is needed.
+    def witnesses(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+        # All arc lists on i..j attaining bonds(i, j), each sorted: an arc
+        # at i comes before the arcs inside it, which come before those
+        # after it.  The branches below are disjoint (they differ in what
+        # happens at position i), so no deduplication is needed.  Tuples,
+        # not sets, keep the memo small: it holds every interval's witnesses.
         if j - i + 1 <= cfg.min_loop:
-            return [frozenset()]
+            return [()]
         if (i, j) in witnesses_memo:
             return witnesses_memo[i, j]
         target = bonds(i, j)
@@ -161,15 +163,15 @@ def max_bond(
             found.extend(witnesses(i + 1, j))
         for k in range(i + cfg.min_loop + 1, j + 1):
             if pairable[i][k] and 1 + bonds(i + 1, k - 1) + bonds(k + 1, j) == target:
+                arc = ((i, k),)
                 for inner in witnesses(i + 1, k - 1):
-                    for outer in witnesses(k + 1, j):
-                        found.append(frozenset({(i, k)}) | inner | outer)
+                    head = arc + inner
+                    found.extend(head + outer for outer in witnesses(k + 1, j))
         witnesses_memo[i, j] = found
         return found
 
     if n == 0:
         return 0, [SecondaryStructure("", frozenset())]
     top = bonds(1, n)
-    structures = [SecondaryStructure(word, arcs) for arcs in witnesses(1, n)]
-    structures.sort(key=SecondaryStructure.sorted_arcs)
-    return top, structures
+    # Sorted arc lists order the witnesses as sorted_arcs() would.
+    return top, [SecondaryStructure.unchecked(word, arcs) for arcs in sorted(witnesses(1, n))]

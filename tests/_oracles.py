@@ -3,6 +3,11 @@
 The structure oracle below filters *all* subsets of candidate pairs by
 the structure invariants via a subset-validity sweep; it shares no code
 path with the package's enumerator or counting recursion.
+
+The pairwise checkers are the quadratic reference versions of
+``structure_violations``, ``validate`` and the render nesting depths: every
+pair of arcs, and every arc against every through anchor, is compared
+directly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from ddna import (
     reverse_complement,
     unbend,
 )
-from ddna.core import canonical_word, is_complementary
+from ddna.core import Violation, canonical_word, is_complementary
 from ddna.structures import FoldConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -87,3 +92,128 @@ def random_diagram(rng: random.Random, source: str, target: str) -> Diagram:
     """A uniform-ish valid diagram source -> target, via unbending."""
     combined = reverse_complement(source) + target
     return unbend(random_structure(rng, combined), len(source))
+
+
+def structure_violations_pairwise(word: str, arcs) -> list[Violation]:
+    """Reference for ``structure_violations``, crossings compared pairwise."""
+    n = len(word)
+    violations = []
+    arcs = sorted(set(arcs))
+    for i, j in arcs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            violations.append(Violation("index-range", f"arc ({i},{j}) outside 1..{n}"))
+        elif i >= j:
+            violations.append(Violation("arc-order", f"arc ({i},{j}) needs i < j"))
+    checkable = [(i, j) for i, j in arcs if 1 <= i < j <= n]
+    seen: dict[int, tuple[int, int]] = {}
+    for i, j in checkable:
+        for p in (i, j):
+            if p in seen and seen[p] != (i, j):
+                violations.append(
+                    Violation("uniqueness", f"position {p} in both {seen[p]} and ({i},{j})")
+                )
+            seen.setdefault(p, (i, j))
+    for i, j in checkable:
+        if not is_complementary(word[i - 1], word[j - 1]):
+            violations.append(
+                Violation(
+                    "complementarity",
+                    f"arc ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
+                )
+            )
+    for a, (i, j) in enumerate(checkable):
+        for k, l in checkable[a + 1 :]:
+            if i < k < j < l:
+                violations.append(Violation("crossing", f"arcs ({i},{j}) and ({k},{l}) cross"))
+    return violations
+
+
+def validate_pairwise(d: Diagram) -> list[Violation]:
+    """Reference for ``validate``, crossings and anchors compared pairwise."""
+    ns, nt = len(d.source), len(d.target)
+    violations = []
+
+    def in_range(i: int, n: int) -> bool:
+        return 1 <= i <= n
+
+    for i, j in sorted(d.through):
+        if not in_range(i, ns) or not in_range(j, nt):
+            violations.append(Violation("index-range", f"through ({i},{j}) outside boundaries"))
+    for name, arcs, n in (("source arc", d.source_arcs, ns), ("target arc", d.target_arcs, nt)):
+        for i, j in sorted(arcs):
+            if not in_range(i, n) or not in_range(j, n):
+                violations.append(Violation("index-range", f"{name} ({i},{j}) outside 1..{n}"))
+            elif i >= j:
+                violations.append(Violation("arc-order", f"{name} ({i},{j}) needs i < j"))
+
+    through = sorted((i, j) for i, j in d.through if in_range(i, ns) and in_range(j, nt))
+    src_arcs = sorted((i, j) for i, j in d.source_arcs if 1 <= i < j <= ns)
+    tgt_arcs = sorted((i, j) for i, j in d.target_arcs if 1 <= i < j <= nt)
+
+    src_uses: dict[int, list[str]] = {}
+    tgt_uses: dict[int, list[str]] = {}
+    for i, j in through:
+        src_uses.setdefault(i, []).append(f"through ({i},{j})")
+        tgt_uses.setdefault(j, []).append(f"through ({i},{j})")
+    for i, j in src_arcs:
+        src_uses.setdefault(i, []).append(f"source arc ({i},{j})")
+        src_uses.setdefault(j, []).append(f"source arc ({i},{j})")
+    for i, j in tgt_arcs:
+        tgt_uses.setdefault(i, []).append(f"target arc ({i},{j})")
+        tgt_uses.setdefault(j, []).append(f"target arc ({i},{j})")
+    for side, uses in (("source", src_uses), ("target", tgt_uses)):
+        for pos in sorted(uses):
+            if len(uses[pos]) > 1:
+                violations.append(
+                    Violation("degree", f"{side} position {pos} in {' and '.join(uses[pos])}")
+                )
+
+    for i, j in through:
+        if d.source[i - 1] != d.target[j - 1]:
+            violations.append(
+                Violation(
+                    "through-typing",
+                    f"through ({i},{j}) joins {d.source[i - 1]} to {d.target[j - 1]}",
+                )
+            )
+    for name, arcs, word in (("source arc", src_arcs, d.source), ("target arc", tgt_arcs, d.target)):
+        for i, j in arcs:
+            if not is_complementary(word[i - 1], word[j - 1]):
+                violations.append(
+                    Violation(
+                        "arc-typing",
+                        f"{name} ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
+                    )
+                )
+
+    for (i, j), (k, l) in zip(through, through[1:]):
+        if j >= l:
+            violations.append(
+                Violation("through-crossing", f"through wires ({i},{j}) and ({k},{l}) cross")
+            )
+    for name, arcs, anchors in (
+        ("source arc", src_arcs, [i for i, _ in through]),
+        ("target arc", tgt_arcs, [j for _, j in through]),
+    ):
+        for i, j in arcs:
+            for k in anchors:
+                if i < k < j:
+                    violations.append(
+                        Violation("arc-wire-crossing", f"{name} ({i},{j}) spans through anchor {k}")
+                    )
+        for a, (i, j) in enumerate(arcs):
+            for k, l in arcs[a + 1 :]:
+                if i < k < j < l:
+                    violations.append(
+                        Violation("arc-arc-crossing", f"{name}s ({i},{j}) and ({k},{l}) cross")
+                    )
+    return violations
+
+
+def arc_depths_pairwise(arcs) -> dict[tuple[int, int], int]:
+    """Reference nesting depths: 1 for innermost, growing outward."""
+    depths: dict[tuple[int, int], int] = {}
+    for i, j in sorted(arcs, key=lambda arc: arc[1] - arc[0]):
+        inner = [depths[a] for a in depths if i < a[0] and a[1] < j]
+        depths[i, j] = 1 + max(inner, default=0)
+    return depths

@@ -42,8 +42,9 @@ from _oracles import (
     FIXTURES,
     all_structures_bruteforce,
     fixture_text,
+    random_diagram,
+    random_structure,
     random_word,
-    structures_of,
 )
 
 
@@ -51,15 +52,6 @@ def _verdict(label: str, failures: list) -> None:
     status = "PASS" if not failures else f"FAIL ({len(failures)} cases)"
     print(f"[acceptance] {label}: {status}")
     assert not failures, failures[:5]
-
-
-def _random_structure(rng: random.Random, word: str) -> SecondaryStructure:
-    return rng.choice(structures_of(word))
-
-
-def _random_diagram(rng: random.Random, source: str, target: str) -> Diagram:
-    combined = reverse_complement(source) + target
-    return unbend(_random_structure(rng, combined), len(source))
 
 
 def test_criterion_1_duality_laws():
@@ -102,16 +94,16 @@ def test_criterion_3_category_laws():
     failures = []
     for _ in range(500):
         x, y, z, w = (random_word(rng, 4) for _ in range(4))
-        f = _random_diagram(rng, x, y)
-        g = _random_diagram(rng, y, z)
-        h = _random_diagram(rng, z, w)
+        f = random_diagram(rng, x, y)
+        g = random_diagram(rng, y, z)
+        h = random_diagram(rng, z, w)
         if compose(compose(f, g)[0], h)[0] != compose(f, compose(g, h)[0])[0]:
             failures.append(("associativity", f, g, h))
         if compose(identity(x), f)[0] != f or compose(f, identity(y))[0] != f:
             failures.append(("unitality", f))
         u, v = random_word(rng, 3), random_word(rng, 3)
-        p = _random_diagram(rng, u, v)
-        q = _random_diagram(rng, v, random_word(rng, 3))
+        p = random_diagram(rng, u, v)
+        q = random_diagram(rng, v, random_word(rng, 3))
         lhs = compose(tensor(f, p), tensor(g, q))[0]
         rhs = tensor(compose(f, g)[0], compose(p, q)[0])
         if lhs != rhs:
@@ -124,11 +116,11 @@ def test_criterion_4_bending_bijection():
     failures = []
     for _ in range(1000):
         source, target = random_word(rng, 5), random_word(rng, 5)
-        d = _random_diagram(rng, source, target)
+        d = random_diagram(rng, source, target)
         if unbend(bend(d), len(d.source)) != d:
             failures.append(("unbend-bend", d))
         word = random_word(rng, 10)
-        structure = _random_structure(rng, word)
+        structure = random_structure(rng, word)
         split = rng.randint(0, len(word))
         if bend(unbend(structure, split)) != structure:
             failures.append(("bend-unbend", structure, split))
@@ -141,8 +133,8 @@ def _route_cases():
     cases = []
     for _ in range(500):
         x, y, z = (random_word(rng, 4) for _ in range(3))
-        fhat = _random_structure(rng, reverse_complement(x) + y)
-        ghat = _random_structure(rng, reverse_complement(y) + z)
+        fhat = random_structure(rng, reverse_complement(x) + y)
+        ghat = random_structure(rng, reverse_complement(y) + z)
         zipped, zip_report = zip_and_transfer(fhat, ghat, y)
         composite, compose_report = compose(unbend(fhat, len(x)), unbend(ghat, len(y)))
         cases.append((fhat, ghat, y, zipped, zip_report, composite, compose_report))
