@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable
 
 from . import diagram as dg
 from . import pregroup as pg
@@ -49,12 +52,13 @@ def _read(path: str) -> str:
         raise CliError(str(exc)) from None
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write_records(records: Iterable[str], path: str | None) -> None:
+    """Stream ``records`` to stdout or ``path``, with ``"\\n"`` between them."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as handle:
+        for count, record in enumerate(records):
+            if count:
+                handle.write("\n")
+            handle.write(record)
 
 
 def _load_diagram(path: str) -> dg.Diagram:
@@ -88,7 +92,7 @@ def _maybe_report(report: dg.LoopReport, wanted: bool) -> None:
 def _cmd_revcomp(args) -> None:
     word = "" if args.word == "-" else args.word
     try:
-        _write_output(reverse_complement(word) + "\n", args.output)
+        _write_records([reverse_complement(word) + "\n"], args.output)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -97,14 +101,13 @@ def _cmd_validate(args) -> None:
     text = _read(args.path)
     if args.path.endswith(".ddna"):
         try:
-            parsed = dg.parse_ddna(text)
+            dg.parse_ddna(text)
         except dg.DiagramError as exc:
             for violation in exc.violations:
                 sys.stderr.write(f"{violation}\n")
             raise CliError(f"{args.path}: {len(exc.violations)} violation(s)") from None
         except ValueError as exc:
             raise CliError(f"{args.path}: {exc}") from None
-        del parsed
     else:
         try:
             parse_dotbracket(text)
@@ -120,18 +123,18 @@ def _cmd_compose(args) -> None:
         composite, report = dg.compose(f, g)
     except dg.InterfaceError as exc:
         raise CliError(str(exc)) from None
-    _write_output(dg.emit_ddna(composite), args.output)
+    _write_records([dg.emit_ddna(composite)], args.output)
     _maybe_report(report, args.report)
 
 
 def _cmd_bend(args) -> None:
-    _write_output(emit_dotbracket(dg.bend(_load_diagram(args.path))), args.output)
+    _write_records([emit_dotbracket(dg.bend(_load_diagram(args.path)))], args.output)
 
 
 def _cmd_unbend(args) -> None:
     structure = _load_structure(args.path)
     try:
-        _write_output(dg.emit_ddna(dg.unbend(structure, args.source_len)), args.output)
+        _write_records([dg.emit_ddna(dg.unbend(structure, args.source_len))], args.output)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -149,20 +152,12 @@ def _cmd_enumerate(args) -> None:
         structures = enumerate_structures(args.word, _fold_config(args))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    handle = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        for count, structure in enumerate(structures):
-            if count:
-                handle.write("\n")
-            handle.write(emit_dotbracket(structure))
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    _write_records(map(emit_dotbracket, structures), args.output)
 
 
 def _cmd_count(args) -> None:
     try:
-        _write_output(f"{count_structures(args.word, _fold_config(args))}\n", args.output)
+        _write_records([f"{count_structures(args.word, _fold_config(args))}\n"], args.output)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -172,9 +167,7 @@ def _cmd_fold(args) -> None:
         bonds, witnesses = max_bond(args.word, _fold_config(args))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    records = [f"max_bonds: {bonds}\n"]
-    records.extend(emit_dotbracket(s) for s in witnesses)
-    _write_output("\n".join(records), args.output)
+    _write_records(chain([f"max_bonds: {bonds}\n"], map(emit_dotbracket, witnesses)), args.output)
 
 
 def _parse_goal(text: str) -> pg.PregroupType:
@@ -210,16 +203,12 @@ def _cmd_parse(args) -> None:
     lexicon = _load_lexicon(args.lexicon)
     goal = _parse_goal(args.goal)
     types = _sentence_types(lexicon, args.words)
-    if args.all_proofs:
-        proofs = list(pg.all_reductions(types, goal))
-        if not proofs:
-            raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
-        _write_output("\n".join(_format_proof(p) for p in proofs), args.output)
-    else:
-        proof = pg.find_reduction(types, goal)
-        if proof is None:
-            raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
-        _write_output(_format_proof(proof), args.output)
+    proofs = pg.all_reductions(types, goal)
+    first = next(proofs, None)
+    if first is None:
+        raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
+    rest = proofs if args.all_proofs else ()
+    _write_records(map(_format_proof, chain([first], rest)), args.output)
 
 
 def _cmd_meaning(args) -> None:
@@ -233,11 +222,11 @@ def _cmd_meaning(args) -> None:
         raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
     structure, report = result
     if args.format == "dotbracket":
-        _write_output(emit_dotbracket(structure), args.output)
+        _write_records([emit_dotbracket(structure)], args.output)
     elif args.format == "text":
-        _write_output(rd.render_structure_text(structure), args.output)
+        _write_records([rd.render_structure_text(structure)], args.output)
     else:
-        _write_output(rd.render_structure_svg(structure), args.output)
+        _write_records([rd.render_structure_svg(structure)], args.output)
     _maybe_report(report, args.report)
 
 
@@ -259,11 +248,11 @@ def _cmd_render(args) -> None:
     if isinstance(value, dg.Diagram):
         if args.format == "text":
             raise CliError("text rendering is for structures; use --format svg")
-        _write_output(rd.render_diagram_svg(value, _style(args)), args.output)
+        _write_records([rd.render_diagram_svg(value, _style(args))], args.output)
     elif args.format == "text":
-        _write_output(rd.render_structure_text(value), args.output)
+        _write_records([rd.render_structure_text(value)], args.output)
     else:
-        _write_output(rd.render_structure_svg(value, _style(args)), args.output)
+        _write_records([rd.render_structure_svg(value, _style(args))], args.output)
 
 
 def _add_theta(parser: argparse.ArgumentParser) -> None:

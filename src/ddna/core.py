@@ -24,6 +24,7 @@ ALPHABET = "ACGT"
 
 _COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
 _DROP_ALPHABET = str.maketrans("", "", ALPHABET)
+_DUAL = str.maketrans("ACGT", "TGCA")
 
 
 class AlphabetError(ValueError):
@@ -89,7 +90,7 @@ def reverse_complement(word: str) -> str:
     >>> reverse_complement("")
     ''
     """
-    return "".join(_COMPLEMENT[b] for b in reversed(canonical_word(word)))
+    return canonical_word(word)[::-1].translate(_DUAL)
 
 
 def is_complementary(a: str, b: str) -> bool:
@@ -166,20 +167,35 @@ def structure_violations(word: str, arcs: Iterable[tuple[int, int]]) -> list[Vio
                     f"arc ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
                 )
             )
-    if arc_depths(checkable) is None:
-        violations.extend(_crossing_pairs(checkable, "crossing", "arcs"))
+    violations.extend(crossing_violations(checkable, "crossing", "arcs"))
     return violations
 
 
-def _crossing_pairs(arcs: list[tuple[int, int]], rule: str, name: str) -> list[Violation]:
-    """Every crossing pair of the sorted ``arcs``, in list order: each arc
-    against the arcs that start strictly inside it."""
+def crossing_violations(arcs: list[tuple[int, int]], rule: str, name: str) -> list[Violation]:
+    """Every crossing pair of the sorted ``arcs``, with ``i < j`` in each, in
+    list order: each arc against the arcs that start strictly inside it.
+    Pairs are listed only once :func:`arc_depths` rejects the arcs."""
+    if arc_depths(arcs) is not None:
+        return []
     starts = [i for i, _ in arcs]
     return [
         Violation(rule, f"{name} ({i},{j}) and ({k},{l}) cross")
         for i, j in arcs
         for k, l in arcs[bisect_right(starts, i) : bisect_left(starts, j)]
         if l > j
+    ]
+
+
+def spanned_anchors(arcs: list[tuple[int, int]], anchors: list[int]) -> list[tuple[int, int, int]]:
+    """Each arc ``(i, j)`` with each anchor ``k`` strictly inside it, as
+    ``(i, j, k)`` in arc order, then anchor list order.  Bisects a sorted index
+    of the anchors: O((m + a) log a) for m arcs and a anchors, plus the output."""
+    order = sorted(range(len(anchors)), key=anchors.__getitem__)
+    keys = [anchors[x] for x in order]
+    return [
+        (i, j, anchors[x])
+        for i, j in arcs
+        for x in sorted(order[bisect_right(keys, i) : bisect_left(keys, j)])
     ]
 
 

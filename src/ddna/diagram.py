@@ -34,7 +34,6 @@ combinatorial content of toehold-mediated strand displacement.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
@@ -42,13 +41,13 @@ from typing import Iterable, Union
 from .core import (
     SecondaryStructure,
     Violation,
-    _crossing_pairs,
-    arc_depths,
     canonical_word,
     complement,
+    crossing_violations,
     is_complementary,
     pair_class,
     reverse_complement,
+    spanned_anchors,
     structure_violations,
 )
 
@@ -241,17 +240,11 @@ def validate(d: Diagram) -> list[Violation]:
         ("source arc", src_arcs, [i for i, _ in through]),
         ("target arc", tgt_arcs, [j for _, j in through]),
     ):
-        # Target anchors are unsorted when through wires cross, so bisect a
-        # sorted index and report the anchors inside each arc in list order.
-        order = sorted(range(len(anchors)), key=anchors.__getitem__)
-        keys = [anchors[x] for x in order]
-        for i, j in arcs:
-            violations.extend(
-                Violation("arc-wire-crossing", f"{name} ({i},{j}) spans through anchor {anchors[x]}")
-                for x in sorted(order[bisect_right(keys, i) : bisect_left(keys, j)])
-            )
-        if arc_depths(arcs) is None:
-            violations.extend(_crossing_pairs(arcs, "arc-arc-crossing", f"{name}s"))
+        violations.extend(
+            Violation("arc-wire-crossing", f"{name} ({i},{j}) spans through anchor {k}")
+            for i, j, k in spanned_anchors(arcs, anchors)
+        )
+        violations.extend(crossing_violations(arcs, "arc-arc-crossing", f"{name}s"))
     return violations
 
 

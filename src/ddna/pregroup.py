@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
     SecondaryStructure,
     Violation,
     canonical_word,
+    crossing_violations,
     reverse_complement,
+    spanned_anchors,
     structure_from_brackets,
 )
 from .diagram import Diagram, LoopReport, bend, compose, structure_as_diagram, tensor_all
@@ -134,16 +137,12 @@ def proof_violations(
         violations.append(Violation("partition", "links and survivors do not partition the terms"))
     if tuple(sorted(proof.survivors)) != proof.survivors:
         violations.append(Violation("survivor-order", "survivors must be listed in position order"))
-    for a, (p, q) in enumerate(links):
-        for r, s in links[a + 1 :]:
-            if p < r < q < s:
-                violations.append(Violation("link-crossing", f"links ({p},{q}) and ({r},{s}) cross"))
-    for p, q in links:
-        for s in proof.survivors:
-            if p < s < q:
-                violations.append(
-                    Violation("link-spans-survivor", f"survivor {s} inside link ({p},{q})")
-                )
+    ordered = [(p, q) for p, q in links if p < q]
+    violations.extend(crossing_violations(ordered, "link-crossing", "links"))
+    violations.extend(
+        Violation("link-spans-survivor", f"survivor {s} inside link ({p},{q})")
+        for p, q, s in spanned_anchors(links, list(proof.survivors))
+    )
     return violations
 
 
@@ -158,49 +157,54 @@ def all_reductions(
 
     Proofs come out in leftmost-innermost order: at each position a link
     with the nearest valid partner is preferred over letting the term
-    survive.
+    survive.  A memo of which spans reduce to which goal suffixes prunes
+    every branch that yields no proof, so for m terms rejecting costs
+    O(m^3) time and O(m^2) space, and each proof costs polynomial time.
     """
-    terms = flatten(types)
-    goal_terms = goal.terms
-    m = len(terms)
+    terms, goal_terms = flatten(types), goal.terms
+    m, done = len(terms), len(goal_terms)
+    memo: dict[tuple[int, int, int], bool] = {}
 
-    matchings_memo: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], ...]] = {}
-
-    def matchings(lo: int, hi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """All complete noncrossing contraction matchings of terms lo..hi."""
+    def reduces(lo: int, hi: int, g: int) -> bool:
+        """Whether terms lo..hi reduce to goal_terms[g:]; spans inside a
+        link use ``g = done``, so they must contract completely."""
         if lo > hi:
-            return ((),)
-        if (hi - lo + 1) % 2:
-            return ()
-        if (lo, hi) in matchings_memo:
-            return matchings_memo[lo, hi]
-        found = []
+            return g == done
+        key = (lo, hi, g)
+        if key in memo:
+            return memo[key]
         for k in range(lo + 1, hi + 1, 2):
-            if _link_ok(terms, lo, k):
-                for inner in matchings(lo + 1, k - 1):
-                    for rest in matchings(k + 1, hi):
-                        found.append(((lo, k),) + inner + rest)
-        matchings_memo[lo, hi] = tuple(found)
-        return matchings_memo[lo, hi]
+            if _link_ok(terms, lo, k) and reduces(lo + 1, k - 1, done) and reduces(k + 1, hi, g):
+                memo[key] = True
+                return True
+        memo[key] = g < done and terms[lo - 1] == goal_terms[g] and reduces(lo + 1, hi, g + 1)
+        return memo[key]
 
-    def search(
-        p: int, gi: int
-    ) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-        if p > m:
-            if gi == len(goal_terms):
-                yield (), ()
+    links: list[tuple[int, int]] = []
+    survivors: list[int] = []
+
+    def proofs(lo: int, hi: int, g: int) -> Iterator[None]:
+        """Yield once per proof that terms lo..hi reduce to goal_terms[g:],
+        given that they do, with its links and survivors pushed on ``links``
+        and ``survivors``: links to each ``k`` in turn, then survival."""
+        if lo > hi:
+            yield
             return
-        for k in range(p + 1, m + 1):
-            if _link_ok(terms, p, k):
-                for inner in matchings(p + 1, k - 1):
-                    for rest_links, rest_survivors in search(k + 1, gi):
-                        yield ((p, k),) + inner + rest_links, rest_survivors
-        if gi < len(goal_terms) and terms[p - 1] == goal_terms[gi]:
-            for rest_links, rest_survivors in search(p + 1, gi + 1):
-                yield rest_links, (p,) + rest_survivors
+        for k in range(lo + 1, hi + 1, 2):
+            if _link_ok(terms, lo, k) and reduces(lo + 1, k - 1, done) and reduces(k + 1, hi, g):
+                links.append((lo, k))
+                for _ in proofs(lo + 1, k - 1, done):
+                    yield from proofs(k + 1, hi, g)
+                links.pop()
+        if g < done and terms[lo - 1] == goal_terms[g] and reduces(lo + 1, hi, g + 1):
+            survivors.append(lo)
+            yield from proofs(lo + 1, hi, g + 1)
+            survivors.pop()
 
-    for links, survivors in search(1, 0):
-        yield ReductionProof(frozenset(links), survivors)
+    # Links remove terms in pairs, so no proof exists unless m - done is even.
+    if (m - done) % 2 == 0 and reduces(1, m, 0):
+        for _ in proofs(1, m, 0):
+            yield ReductionProof(frozenset(links), tuple(survivors))
 
 
 def find_reduction(
@@ -252,9 +256,7 @@ def functor_reduction(
     if bad:
         raise ValueError("invalid proof: " + "; ".join(str(v) for v in bad))
     lengths = [len(functor_object(PregroupType((t,)), lexicon)) for t in terms]
-    offsets = [0]
-    for length in lengths:
-        offsets.append(offsets[-1] + length)
+    offsets = list(accumulate(lengths, initial=0))
     source = functor_object(PregroupType(terms), lexicon)
 
     through = set()
@@ -334,7 +336,7 @@ def load_lexicon(text: str) -> Lexicon:
     assignments = {str(name): canonical_word(str(word)) for name, word in raw_types.items()}
 
     theta = data.get("theta", 0)
-    if not isinstance(theta, int) or theta < 0:
+    if isinstance(theta, bool) or not isinstance(theta, int) or theta < 0:
         raise LexiconError(f"'theta' must be a nonnegative integer, got {theta!r}")
     cfg = FoldConfig(theta)
 

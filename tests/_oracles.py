@@ -5,9 +5,10 @@ the structure invariants via a subset-validity sweep; it shares no code
 path with the package's enumerator or counting recursion.
 
 The pairwise checkers are the quadratic reference versions of
-``structure_violations``, ``validate`` and the render nesting depths: every
-pair of arcs, and every arc against every through anchor, is compared
-directly.
+``structure_violations``, ``validate``, ``proof_violations`` and the render
+nesting depths: every pair of arcs, and every arc against every through
+anchor or survivor, is compared directly.  ``all_reductions_reference`` is
+the exponential proof search that ``all_reductions`` replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from ddna import (
     Diagram,
@@ -24,6 +26,7 @@ from ddna import (
     unbend,
 )
 from ddna.core import Violation, canonical_word, is_complementary
+from ddna.pregroup import PregroupType, ReductionProof, SimpleTerm, _link_ok, flatten
 from ddna.structures import FoldConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -217,3 +220,91 @@ def arc_depths_pairwise(arcs) -> dict[tuple[int, int], int]:
         inner = [depths[a] for a in depths if i < a[0] and a[1] < j]
         depths[i, j] = 1 + max(inner, default=0)
     return depths
+
+
+def proof_violations_pairwise(
+    proof: ReductionProof, terms: Sequence[SimpleTerm]
+) -> list[Violation]:
+    """Reference for ``proof_violations``, links compared pairwise with each
+    other and with every survivor."""
+    violations = []
+    links = sorted(proof.links)
+    used = list(proof.survivors)
+    for p, q in links:
+        used.extend((p, q))
+        if not 1 <= p < q <= len(terms):
+            violations.append(Violation("index-range", f"link ({p},{q}) out of range"))
+        elif not _link_ok(terms, p, q):
+            violations.append(
+                Violation("link-typing", f"link ({p},{q}) joins {terms[p - 1]} and {terms[q - 1]}")
+            )
+    if sorted(used) != list(range(1, len(terms) + 1)):
+        violations.append(Violation("partition", "links and survivors do not partition the terms"))
+    if tuple(sorted(proof.survivors)) != proof.survivors:
+        violations.append(Violation("survivor-order", "survivors must be listed in position order"))
+    for a, (p, q) in enumerate(links):
+        for r, s in links[a + 1 :]:
+            if p < r < q < s:
+                violations.append(Violation("link-crossing", f"links ({p},{q}) and ({r},{s}) cross"))
+    for p, q in links:
+        for s in proof.survivors:
+            if p < s < q:
+                violations.append(
+                    Violation("link-spans-survivor", f"survivor {s} inside link ({p},{q})")
+                )
+    return violations
+
+
+def all_reductions_reference(
+    types: Sequence[PregroupType], goal: PregroupType
+) -> Iterator[ReductionProof]:
+    """Reference for ``all_reductions``: the backtracking search that keeps
+    every complete matching of every span, so it is exponential in time and
+    memory on long ungrammatical sentences.  Every contraction proof
+    reducing ``types`` to ``goal``, canonical first.
+
+    Proofs come out in leftmost-innermost order: at each position a link
+    with the nearest valid partner is preferred over letting the term
+    survive.
+    """
+    terms = flatten(types)
+    goal_terms = goal.terms
+    m = len(terms)
+
+    matchings_memo: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+    def matchings(lo: int, hi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """All complete noncrossing contraction matchings of terms lo..hi."""
+        if lo > hi:
+            return ((),)
+        if (hi - lo + 1) % 2:
+            return ()
+        if (lo, hi) in matchings_memo:
+            return matchings_memo[lo, hi]
+        found = []
+        for k in range(lo + 1, hi + 1, 2):
+            if _link_ok(terms, lo, k):
+                for inner in matchings(lo + 1, k - 1):
+                    for rest in matchings(k + 1, hi):
+                        found.append(((lo, k),) + inner + rest)
+        matchings_memo[lo, hi] = tuple(found)
+        return matchings_memo[lo, hi]
+
+    def search(
+        p: int, gi: int
+    ) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
+        if p > m:
+            if gi == len(goal_terms):
+                yield (), ()
+            return
+        for k in range(p + 1, m + 1):
+            if _link_ok(terms, p, k):
+                for inner in matchings(p + 1, k - 1):
+                    for rest_links, rest_survivors in search(k + 1, gi):
+                        yield ((p, k),) + inner + rest_links, rest_survivors
+        if gi < len(goal_terms) and terms[p - 1] == goal_terms[gi]:
+            for rest_links, rest_survivors in search(p + 1, gi + 1):
+                yield rest_links, (p,) + rest_survivors
+
+    for links, survivors in search(1, 0):
+        yield ReductionProof(frozenset(links), survivors)

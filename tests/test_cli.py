@@ -244,6 +244,34 @@ class TestGrammar:
         )
         assert code == 1 and "dogs" in err
 
+    def test_parse_all_proofs_in_order(self, capsys, tmp_path):
+        lexicon = tmp_path / "lexicon.yaml"
+        lexicon.write_text('types: {a: ACG}\nentries:\n  x: {type: "a a^r", structure: "......"}\n')
+        code, out, _ = run(
+            capsys, "parse", "x", "x", "--lexicon", lexicon, "--goal", "a a^r", "--all-proofs"
+        )
+        assert code == 0
+        assert out == "links: (1,2)\nsurvivors: 3 4\n\nlinks: (3,4)\nsurvivors: 1 2\n"
+
+    def test_parse_ungrammatical_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "proofs.txt"
+        for extra in ([], ["--all-proofs"]):
+            code, _, err = run(
+                capsys,
+                "parse",
+                "Cats",
+                "Cats",
+                "--lexicon",
+                FIXTURES / "lexicon.yaml",
+                "--goal",
+                "s",
+                "-o",
+                target,
+                *extra,
+            )
+            assert code == 1 and "no reduction" in err
+            assert not target.exists()
+
 
 class TestRender:
     def test_svg_structure(self, capsys):

@@ -44,6 +44,11 @@ def test_reverse_complement_examples(word, expected):
     assert reverse_complement(word) == expected
 
 
+@given(st.text(alphabet="ACGTacgt", max_size=12))
+def test_reverse_complement_complements_each_letter_in_reverse(w):
+    assert reverse_complement(w) == "".join(complement(b) for b in reversed(w.upper()))
+
+
 @given(words)
 def test_reverse_complement_is_an_involution(w):
     assert reverse_complement(reverse_complement(w)) == w

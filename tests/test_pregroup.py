@@ -294,6 +294,12 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="theta"):
             load_lexicon("types: {n: AT}\ntheta: -1\nentries: {}\n")
 
+    @pytest.mark.parametrize("theta", ["true", "false", "1.5", "'3'"])
+    def test_theta_must_be_a_plain_integer(self, theta):
+        # YAML booleans load as bool, an int subclass, so they need their own check.
+        with pytest.raises(LexiconError, match="'theta' must be a nonnegative integer"):
+            load_lexicon(f"types: {{n: AT}}\ntheta: {theta}\nentries: {{}}\n")
+
     def test_not_yaml(self):
         with pytest.raises(LexiconError):
             load_lexicon("types: [unbalanced")
