@@ -2,8 +2,10 @@
 
 One binary, subcommand style.  Results go to standard output (or
 ``--output``), diagnostics to standard error; the exit code is 0 exactly
-when the command succeeded semantically.  ``.ddna`` paths hold diagrams,
-anything else is read as two-line dot-bracket text.  The default
+when the command succeeded semantically.  :func:`main` is the one error
+boundary: a :class:`CliError`, a library ``ValueError`` or an ``OSError``
+is printed as ``ddna: <message>`` with exit code 1.  ``.ddna`` paths hold
+diagrams, anything else is read as two-line dot-bracket text.  The default
 ``min_loop`` comes from ``--theta`` or the ``DDNA_THETA`` environment
 variable.
 """
@@ -45,11 +47,8 @@ def _default_theta() -> int:
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _write_records(records: Iterable[str], path: str | None) -> None:
@@ -91,38 +90,24 @@ def _maybe_report(report: dg.LoopReport, wanted: bool) -> None:
 
 def _cmd_revcomp(args) -> None:
     word = "" if args.word == "-" else args.word
-    try:
-        _write_records([reverse_complement(word) + "\n"], args.output)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    _write_records([reverse_complement(word) + "\n"], args.output)
 
 
 def _cmd_validate(args) -> None:
-    text = _read(args.path)
-    if args.path.endswith(".ddna"):
-        try:
-            dg.parse_ddna(text)
-        except dg.DiagramError as exc:
-            for violation in exc.violations:
-                sys.stderr.write(f"{violation}\n")
-            raise CliError(f"{args.path}: {len(exc.violations)} violation(s)") from None
-        except ValueError as exc:
-            raise CliError(f"{args.path}: {exc}") from None
-    else:
-        try:
-            parse_dotbracket(text)
-        except ValueError as exc:
-            raise CliError(f"{args.path}: {exc}") from None
+    parse = dg.parse_ddna if args.path.endswith(".ddna") else parse_dotbracket
+    try:
+        parse(_read(args.path))
+    except dg.DiagramError as exc:
+        for violation in exc.violations:
+            sys.stderr.write(f"{violation}\n")
+        raise CliError(f"{args.path}: {len(exc.violations)} violation(s)") from None
+    except ValueError as exc:
+        raise CliError(f"{args.path}: {exc}") from None
     print("ok")
 
 
 def _cmd_compose(args) -> None:
-    f = _load_diagram(args.upper)
-    g = _load_diagram(args.lower)
-    try:
-        composite, report = dg.compose(f, g)
-    except dg.InterfaceError as exc:
-        raise CliError(str(exc)) from None
+    composite, report = dg.compose(_load_diagram(args.upper), _load_diagram(args.lower))
     _write_records([dg.emit_ddna(composite)], args.output)
     _maybe_report(report, args.report)
 
@@ -133,54 +118,31 @@ def _cmd_bend(args) -> None:
 
 def _cmd_unbend(args) -> None:
     structure = _load_structure(args.path)
-    try:
-        _write_records([dg.emit_ddna(dg.unbend(structure, args.source_len))], args.output)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    _write_records([dg.emit_ddna(dg.unbend(structure, args.source_len))], args.output)
 
 
 def _fold_config(args) -> FoldConfig:
-    theta = args.theta if args.theta is not None else _default_theta()
-    try:
-        return FoldConfig(theta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return FoldConfig(args.theta if args.theta is not None else _default_theta())
 
 
 def _cmd_enumerate(args) -> None:
-    try:
-        structures = enumerate_structures(args.word, _fold_config(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    structures = enumerate_structures(args.word, _fold_config(args))
     _write_records(map(emit_dotbracket, structures), args.output)
 
 
 def _cmd_count(args) -> None:
-    try:
-        _write_records([f"{count_structures(args.word, _fold_config(args))}\n"], args.output)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    _write_records([f"{count_structures(args.word, _fold_config(args))}\n"], args.output)
 
 
 def _cmd_fold(args) -> None:
-    try:
-        bonds, witnesses = max_bond(args.word, _fold_config(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    bonds, witnesses = max_bond(args.word, _fold_config(args))
     _write_records(chain([f"max_bonds: {bonds}\n"], map(emit_dotbracket, witnesses)), args.output)
-
-
-def _parse_goal(text: str) -> pg.PregroupType:
-    try:
-        return pg.parse_type(text)
-    except pg.TypeSyntaxError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _load_lexicon(path: str) -> pg.Lexicon:
     try:
         return pg.load_lexicon(_read(path))
-    except pg.LexiconError as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
@@ -201,7 +163,7 @@ def _format_proof(proof: pg.ReductionProof) -> str:
 
 def _cmd_parse(args) -> None:
     lexicon = _load_lexicon(args.lexicon)
-    goal = _parse_goal(args.goal)
+    goal = pg.parse_type(args.goal)
     types = _sentence_types(lexicon, args.words)
     proofs = pg.all_reductions(types, goal)
     first = next(proofs, None)
@@ -213,11 +175,7 @@ def _cmd_parse(args) -> None:
 
 def _cmd_meaning(args) -> None:
     lexicon = _load_lexicon(args.lexicon)
-    goal = _parse_goal(args.goal)
-    try:
-        result = pg.meaning(args.words, goal, lexicon)
-    except pg.LexiconError as exc:
-        raise CliError(str(exc)) from None
+    result = pg.meaning(args.words, pg.parse_type(args.goal), lexicon)
     if result is None:
         raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
     structure, report = result
@@ -231,16 +189,13 @@ def _cmd_meaning(args) -> None:
 
 
 def _style(args) -> rd.RenderStyle:
-    try:
-        return rd.RenderStyle(
-            at_color=args.at_color,
-            cg_color=args.cg_color,
-            spacing=args.spacing,
-            arc_height=args.arc_height,
-            show_direction_arrows=args.arrows,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return rd.RenderStyle(
+        at_color=args.at_color,
+        cg_color=args.cg_color,
+        spacing=args.spacing,
+        arc_height=args.arc_height,
+        show_direction_arrows=args.arrows,
+    )
 
 
 def _cmd_render(args) -> None:
@@ -355,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"ddna: {exc}\n")
         return 1
     return 0

@@ -29,7 +29,10 @@ audited.
 :func:`zip_and_transfer` computes the same composite in the straightened
 picture: juxtapose the two bent structures, pair the complementary
 interface segments position-by-position, and trace.  This is the
-combinatorial content of toehold-mediated strand displacement.
+combinatorial content of toehold-mediated strand displacement.  Both
+routes share one walk over the interface positions, where each piece
+attaches at most one edge per position; :func:`compose` is the case with
+no interface edges.
 """
 
 from __future__ import annotations
@@ -299,89 +302,92 @@ def tensor_all(diagrams: Iterable[Diagram]) -> Diagram:
     return result
 
 
-# Gluing-graph machinery shared by compose and zip_and_transfer.  Nodes are
-# (layer, position); an edge is (node, node, kind, pair_type) where kind is
-# "wire", "arc" or "interface" and pair_type is "AT"/"CG" for bond edges.
+# Both composition routes glue by one walk over the interface positions
+# 1..m.  Each piece attaches at most one edge at a position: ``up[t]`` for
+# the upper (left) piece, ``down[t]`` for the lower (right) one, each the
+# edge's far end and pair type as ``(layer, position, pair_type)``.  Layer
+# ``_INNER`` is another interface position, ``_UPPER``/``_LOWER`` an outer
+# boundary; pair type ``""`` marks a through wire, which is not a bond.  A
+# path alternates between the two maps.  In zip_and_transfer each position
+# is also a complementary pairing, ``crossings[t]`` its pair type, so every
+# position lies on a path and adds a bond to it; compose is the case with no
+# interface edges (``crossings`` is None), where an untouched position lies
+# on no path.
 
-_Node = tuple[int, int]
-_Edge = tuple[_Node, _Node, str, str]
+_INNER, _UPPER, _LOWER = 0, 1, 2
 
-
-def _trace_components(edges: list[_Edge]) -> list[list[_Edge]]:
-    adjacency: dict[_Node, list[int]] = {}
-    for idx, (a, b, _, _) in enumerate(edges):
-        adjacency.setdefault(a, []).append(idx)
-        adjacency.setdefault(b, []).append(idx)
-    for node, incident in adjacency.items():
-        if len(incident) > 2:
-            raise AssertionError(f"node {node} has degree {len(incident)}")
-
-    seen = [False] * len(edges)
-    components = []
-
-    def walk(start: _Node, first: int) -> list[_Edge]:
-        path = []
-        node, edge_idx = start, first
-        while edge_idx is not None and not seen[edge_idx]:
-            seen[edge_idx] = True
-            path.append(edges[edge_idx])
-            a, b, _, _ = edges[edge_idx]
-            node = b if node == a else a
-            edge_idx = next((e for e in adjacency[node] if not seen[e]), None)
-        return path
-
-    for node in sorted(adjacency):
-        if len(adjacency[node]) == 1 and not seen[adjacency[node][0]]:
-            components.append(walk(node, adjacency[node][0]))
-    for idx in range(len(edges)):
-        if not seen[idx]:
-            a = edges[idx][0]
-            components.append(walk(a, idx))
-    return components
+_End = tuple[int, int, str]
 
 
-def _component_ends(component: list[_Edge]) -> list[_Node]:
-    """Endpoints of a path component; empty for a cycle."""
-    count: dict[_Node, int] = {}
-    for a, b, _, _ in component:
-        count[a] = count.get(a, 0) + 1
-        count[b] = count.get(b, 0) + 1
-    return sorted(node for node, c in count.items() if c == 1)
-
-
-def _classify(
-    components: list[list[_Edge]],
-    boundary_layers: frozenset[int],
+def _glue(
+    m: int,
+    up: list[_End | None],
+    down: list[_End | None],
+    crossings: list[str] | None,
     emit,
 ) -> Counter[str]:
-    """Emit each surviving path and count what was erased, keyed by the
-    :class:`LoopReport` field each count fills."""
+    """Trace every path through the interface.  ``emit(a, b)`` receives the
+    ``(layer, position)`` ends of each boundary-to-boundary path and returns
+    whether the composite edge it adds is a bond.  Returns the erasure
+    counts, keyed by the :class:`LoopReport` field each fills."""
+    seen = [False] * (m + 1)
+    sides = (up, down)
     tally: Counter[str] = Counter()
-    for component in components:
-        ends = _component_ends(component)
-        bonds = sum(1 for _, _, kind, _ in component if kind != "wire")
-        input_bonds = sum(1 for _, _, kind, _ in component if kind == "arc")
-        if not ends:
-            tally["closed_loops"] += 1
-            tally["closed_loop_bonds"] += input_bonds
-            tally["loop_at_pairs"] += sum(
-                1 for _, _, kind, pt in component if kind != "wire" and pt == "AT"
-            )
-            tally["loop_cg_pairs"] += sum(
-                1 for _, _, kind, pt in component if kind != "wire" and pt == "CG"
-            )
-            continue
-        on_boundary = [node for node in ends if node[0] in boundary_layers]
-        if len(on_boundary) == 2:
-            emitted_is_bond = emit(on_boundary[0], on_boundary[1])
-            tally["absorbed_bonds"] += bonds - (1 if emitted_is_bond else 0)
-        elif len(on_boundary) == 1:
-            tally["dangled_endpoints"] += 1
-            tally["erased_path_bonds"] += bonds
-        else:
+
+    def walk(t: int, side: int, bonds: list[str]) -> _End | None:
+        """Leave position ``t`` by ``sides[side]`` and follow the path,
+        appending each bond's pair type to ``bonds``.  Returns the outer
+        end reached, or None at a dead end or back at the start."""
+        while not seen[t]:
+            seen[t] = True
+            if crossings is not None:
+                bonds.append(crossings[t])
+            end = sides[side][t]
+            if end is None:
+                return None
+            layer, t, pair = end
+            if pair:
+                bonds.append(pair)
+            if layer != _INNER:
+                return end
+            side = 1 - side
+        return None
+
+    for t in range(1, m + 1):  # paths from the outer boundaries
+        for side, start in ((1, up[t]), (0, down[t])):
+            if start is None or start[0] == _INNER or seen[t]:
+                continue
+            bonds = [start[2]] if start[2] else []
+            end = walk(t, side, bonds)
+            if end is None:
+                tally["dangled_endpoints"] += 1
+                tally["erased_path_bonds"] += len(bonds)
+            else:
+                emitted_is_bond = emit(start[:2], end[:2])
+                tally["absorbed_bonds"] += len(bonds) - emitted_is_bond
+    for t in range(1, m + 1):  # open paths between two interface dead ends
+        u, d = up[t], down[t]
+        if not seen[t] and not (u and d) and (u or d or crossings is not None):
+            bonds = []
+            walk(t, 0 if u else 1, bonds)
             tally["erased_open_paths"] += 1
-            tally["erased_path_bonds"] += bonds
+            tally["erased_path_bonds"] += len(bonds)
+    for t in range(1, m + 1):  # what is left is closed loops
+        if not seen[t] and up[t]:
+            bonds = []
+            walk(t, 0, bonds)
+            tally["closed_loops"] += 1
+            # A zipped loop alternates input arcs with interface pairings.
+            tally["closed_loop_bonds"] += len(bonds) // 2 if crossings is not None else len(bonds)
+            tally["loop_at_pairs"] += bonds.count("AT")
+            tally["loop_cg_pairs"] += bonds.count("CG")
     return tally
+
+
+def _attach(side: list[_End | None], i: int, j: int, pair: str) -> None:
+    """Record an arc between interface positions ``i`` and ``j``."""
+    side[i] = (_INNER, j, pair)
+    side[j] = (_INNER, i, pair)
 
 
 def bond_count(value: Union[Diagram, SecondaryStructure]) -> int:
@@ -402,42 +408,32 @@ def compose(f: Diagram, g: Diagram) -> tuple[Diagram, LoopReport]:
         raise InterfaceError(
             f"cannot glue: upper target {f.target or '-'!r} != lower source {g.source or '-'!r}"
         )
-    X, Y, Z = 0, 1, 2
     mid = f.target
-
-    def arc_type(word: str, i: int, j: int) -> str:
-        return pair_class(word[i - 1], word[j - 1])
-
-    edges: list[_Edge] = []
-    for i, j in sorted(f.through):
-        edges.append(((X, i), (Y, j), "wire", ""))
-    for i, j in sorted(f.source_arcs):
-        edges.append(((X, i), (X, j), "arc", arc_type(f.source, i, j)))
-    for i, j in sorted(f.target_arcs):
-        edges.append(((Y, i), (Y, j), "arc", arc_type(mid, i, j)))
-    for i, j in sorted(g.through):
-        edges.append(((Y, i), (Z, j), "wire", ""))
-    for i, j in sorted(g.source_arcs):
-        edges.append(((Y, i), (Y, j), "arc", arc_type(mid, i, j)))
-    for i, j in sorted(g.target_arcs):
-        edges.append(((Z, i), (Z, j), "arc", arc_type(g.target, i, j)))
+    m = len(mid)
+    up: list[_End | None] = [None] * (m + 1)
+    down: list[_End | None] = [None] * (m + 1)
+    for i, j in f.through:
+        up[j] = (_UPPER, i, "")
+    for i, j in f.target_arcs:
+        _attach(up, i, j, pair_class(mid[i - 1], mid[j - 1]))
+    for i, j in g.through:
+        down[i] = (_LOWER, j, "")
+    for i, j in g.source_arcs:
+        _attach(down, i, j, pair_class(mid[i - 1], mid[j - 1]))
 
     through: set[tuple[int, int]] = set()
-    source_arcs: set[tuple[int, int]] = set()
-    target_arcs: set[tuple[int, int]] = set()
+    source_arcs = set(f.source_arcs)
+    target_arcs = set(g.target_arcs)
 
-    def emit(a: _Node, b: _Node) -> bool:
-        (la, pa), (lb, pb) = a, b
-        if la == X and lb == Z:
+    def emit(a: tuple[int, int], b: tuple[int, int]) -> bool:
+        (la, pa), (lb, pb) = sorted((a, b))
+        if la != lb:
             through.add((pa, pb))
             return False
-        if la == X and lb == X:
-            source_arcs.add((min(pa, pb), max(pa, pb)))
-        else:
-            target_arcs.add((min(pa, pb), max(pa, pb)))
+        (source_arcs if la == _UPPER else target_arcs).add((pa, pb))
         return True
 
-    tally = _classify(_trace_components(edges), frozenset({X, Z}), emit)
+    tally = _glue(m, up, down, None, emit)
     result = Diagram.unchecked(f.source, g.target, through, source_arcs, target_arcs)
     report = LoopReport(
         bonds_before=bond_count(f) + bond_count(g), bonds_after=bond_count(result), **tally
@@ -518,40 +514,34 @@ def zip_and_transfer(
             f"right word {ghat.word!r} does not start with {reverse_complement(y)!r}"
         )
     nz = len(ghat.word) - ny
-    P, YL, YR, S = 0, 1, 2, 3  # prefix, interface left/right, suffix
-
-    def left_node(p: int) -> _Node:
-        return (P, p) if p <= nx else (YL, p - nx)
-
-    def right_node(p: int) -> _Node:
-        return (YR, p) if p <= ny else (S, p - ny)
-
-    edges: list[_Edge] = []
-    for i, j in sorted(fhat.arcs):
-        edges.append(
-            (left_node(i), left_node(j), "arc", pair_class(fhat.word[i - 1], fhat.word[j - 1]))
-        )
-    for i, j in sorted(ghat.arcs):
-        edges.append(
-            (right_node(i), right_node(j), "arc", pair_class(ghat.word[i - 1], ghat.word[j - 1]))
-        )
-    for i in range(1, ny + 1):
-        edges.append(
-            ((YL, i), (YR, ny + 1 - i), "interface", pair_class(y[i - 1], complement(y[i - 1])))
-        )
-
+    # Interface position t is fhat position nx + t and ghat position ny + 1 - t.
+    up: list[_End | None] = [None] * (ny + 1)
+    down: list[_End | None] = [None] * (ny + 1)
     arcs: set[tuple[int, int]] = set()
+    for i, j in fhat.arcs:
+        pair = pair_class(fhat.word[i - 1], fhat.word[j - 1])
+        if j <= nx:
+            arcs.add((i, j))
+        elif i <= nx:
+            up[j - nx] = (_UPPER, i, pair)
+        else:
+            _attach(up, i - nx, j - nx, pair)
+    for i, j in ghat.arcs:
+        pair = pair_class(ghat.word[i - 1], ghat.word[j - 1])
+        if i > ny:
+            arcs.add((nx + i - ny, nx + j - ny))
+        elif j > ny:
+            down[ny + 1 - i] = (_LOWER, j - ny, pair)
+        else:
+            _attach(down, ny + 1 - i, ny + 1 - j, pair)
+    crossings = [""] + [pair_class(c, complement(c)) for c in y]
 
-    def emit(a: _Node, b: _Node) -> bool:
-        def out_pos(node: _Node) -> int:
-            layer, p = node
-            return p if layer == P else nx + p
-
-        pa, pb = out_pos(a), out_pos(b)
+    def emit(a: tuple[int, int], b: tuple[int, int]) -> bool:
+        pa, pb = (p if layer == _UPPER else nx + p for layer, p in (a, b))
         arcs.add((min(pa, pb), max(pa, pb)))
         return True
 
-    tally = _classify(_trace_components(edges), frozenset({P, S}), emit)
+    tally = _glue(ny, up, down, crossings, emit)
     result = SecondaryStructure.unchecked(fhat.word[:nx] + ghat.word[ny:], arcs)
     report = LoopReport(
         interface_bonds_formed=ny,

@@ -9,23 +9,29 @@ The pairwise checkers are the quadratic reference versions of
 nesting depths: every pair of arcs, and every arc against every through
 anchor or survivor, is compared directly.  ``all_reductions_reference`` is
 the exponential proof search that ``all_reductions`` replaced.
+``compose_reference`` and ``zip_and_transfer_reference`` glue through a
+general edge-list graph, the code the shared interface walk replaced.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from ddna import (
     Diagram,
+    InterfaceError,
+    LoopReport,
     SecondaryStructure,
+    bond_count,
     enumerate_structures,
     reverse_complement,
     unbend,
 )
-from ddna.core import Violation, canonical_word, is_complementary
+from ddna.core import Violation, canonical_word, complement, is_complementary, pair_class
 from ddna.pregroup import PregroupType, ReductionProof, SimpleTerm, _link_ok, flatten
 from ddna.structures import FoldConfig
 
@@ -308,3 +314,212 @@ def all_reductions_reference(
 
     for links, survivors in search(1, 0):
         yield ReductionProof(frozenset(links), survivors)
+
+
+# --- reference gluing --------------------------------------------------------
+#
+# The edge-list gluing graph that ``compose`` and ``zip_and_transfer`` used
+# before they shared one interface walk, kept verbatim as their reference.
+
+# Gluing-graph machinery shared by compose and zip_and_transfer.  Nodes are
+# (layer, position); an edge is (node, node, kind, pair_type) where kind is
+# "wire", "arc" or "interface" and pair_type is "AT"/"CG" for bond edges.
+
+_Node = tuple[int, int]
+_Edge = tuple[_Node, _Node, str, str]
+
+
+def _trace_components(edges: list[_Edge]) -> list[list[_Edge]]:
+    adjacency: dict[_Node, list[int]] = {}
+    for idx, (a, b, _, _) in enumerate(edges):
+        adjacency.setdefault(a, []).append(idx)
+        adjacency.setdefault(b, []).append(idx)
+    for node, incident in adjacency.items():
+        if len(incident) > 2:
+            raise AssertionError(f"node {node} has degree {len(incident)}")
+
+    seen = [False] * len(edges)
+    components = []
+
+    def walk(start: _Node, first: int) -> list[_Edge]:
+        path = []
+        node, edge_idx = start, first
+        while edge_idx is not None and not seen[edge_idx]:
+            seen[edge_idx] = True
+            path.append(edges[edge_idx])
+            a, b, _, _ = edges[edge_idx]
+            node = b if node == a else a
+            edge_idx = next((e for e in adjacency[node] if not seen[e]), None)
+        return path
+
+    for node in sorted(adjacency):
+        if len(adjacency[node]) == 1 and not seen[adjacency[node][0]]:
+            components.append(walk(node, adjacency[node][0]))
+    for idx in range(len(edges)):
+        if not seen[idx]:
+            a = edges[idx][0]
+            components.append(walk(a, idx))
+    return components
+
+
+def _component_ends(component: list[_Edge]) -> list[_Node]:
+    """Endpoints of a path component; empty for a cycle."""
+    count: dict[_Node, int] = {}
+    for a, b, _, _ in component:
+        count[a] = count.get(a, 0) + 1
+        count[b] = count.get(b, 0) + 1
+    return sorted(node for node, c in count.items() if c == 1)
+
+
+def _classify(
+    components: list[list[_Edge]],
+    boundary_layers: frozenset[int],
+    emit,
+) -> Counter[str]:
+    """Emit each surviving path and count what was erased, keyed by the
+    :class:`LoopReport` field each count fills."""
+    tally: Counter[str] = Counter()
+    for component in components:
+        ends = _component_ends(component)
+        bonds = sum(1 for _, _, kind, _ in component if kind != "wire")
+        input_bonds = sum(1 for _, _, kind, _ in component if kind == "arc")
+        if not ends:
+            tally["closed_loops"] += 1
+            tally["closed_loop_bonds"] += input_bonds
+            tally["loop_at_pairs"] += sum(
+                1 for _, _, kind, pt in component if kind != "wire" and pt == "AT"
+            )
+            tally["loop_cg_pairs"] += sum(
+                1 for _, _, kind, pt in component if kind != "wire" and pt == "CG"
+            )
+            continue
+        on_boundary = [node for node in ends if node[0] in boundary_layers]
+        if len(on_boundary) == 2:
+            emitted_is_bond = emit(on_boundary[0], on_boundary[1])
+            tally["absorbed_bonds"] += bonds - (1 if emitted_is_bond else 0)
+        elif len(on_boundary) == 1:
+            tally["dangled_endpoints"] += 1
+            tally["erased_path_bonds"] += bonds
+        else:
+            tally["erased_open_paths"] += 1
+            tally["erased_path_bonds"] += bonds
+    return tally
+
+
+def compose_reference(f: Diagram, g: Diagram) -> tuple[Diagram, LoopReport]:
+    """Stack ``f`` on top of ``g``, gluing ``f.target`` to ``g.source``.
+
+    Returns the composite ``f.source -> g.target`` plus the erasure
+    report.  Raises :class:`InterfaceError` unless the glued boundary
+    words are equal.
+    """
+    if f.target != g.source:
+        raise InterfaceError(
+            f"cannot glue: upper target {f.target or '-'!r} != lower source {g.source or '-'!r}"
+        )
+    X, Y, Z = 0, 1, 2
+    mid = f.target
+
+    def arc_type(word: str, i: int, j: int) -> str:
+        return pair_class(word[i - 1], word[j - 1])
+
+    edges: list[_Edge] = []
+    for i, j in sorted(f.through):
+        edges.append(((X, i), (Y, j), "wire", ""))
+    for i, j in sorted(f.source_arcs):
+        edges.append(((X, i), (X, j), "arc", arc_type(f.source, i, j)))
+    for i, j in sorted(f.target_arcs):
+        edges.append(((Y, i), (Y, j), "arc", arc_type(mid, i, j)))
+    for i, j in sorted(g.through):
+        edges.append(((Y, i), (Z, j), "wire", ""))
+    for i, j in sorted(g.source_arcs):
+        edges.append(((Y, i), (Y, j), "arc", arc_type(mid, i, j)))
+    for i, j in sorted(g.target_arcs):
+        edges.append(((Z, i), (Z, j), "arc", arc_type(g.target, i, j)))
+
+    through: set[tuple[int, int]] = set()
+    source_arcs: set[tuple[int, int]] = set()
+    target_arcs: set[tuple[int, int]] = set()
+
+    def emit(a: _Node, b: _Node) -> bool:
+        (la, pa), (lb, pb) = a, b
+        if la == X and lb == Z:
+            through.add((pa, pb))
+            return False
+        if la == X and lb == X:
+            source_arcs.add((min(pa, pb), max(pa, pb)))
+        else:
+            target_arcs.add((min(pa, pb), max(pa, pb)))
+        return True
+
+    tally = _classify(_trace_components(edges), frozenset({X, Z}), emit)
+    result = Diagram.unchecked(f.source, g.target, through, source_arcs, target_arcs)
+    report = LoopReport(
+        bonds_before=bond_count(f) + bond_count(g), bonds_after=bond_count(result), **tally
+    )
+    return result, report
+
+
+def zip_and_transfer_reference(
+    fhat: SecondaryStructure, ghat: SecondaryStructure, interface: str
+) -> tuple[SecondaryStructure, LoopReport]:
+    """Compose two straightened diagrams across a complementary interface.
+
+    ``fhat`` must end with ``interface`` and ``ghat`` must start with its
+    reverse complement.  The interface segments are zipped position ``i``
+    against position ``len(interface) + 1 - i``, connectivity transfers
+    through the zipped pairs, and interior leftovers are erased exactly as
+    in :func:`compose`.  Agrees with bending, composing, and unbending.
+    """
+    y = canonical_word(interface)
+    ny = len(y)
+    nx = len(fhat.word) - ny
+    if nx < 0 or fhat.word[nx:] != y:
+        raise InterfaceError(f"left word {fhat.word!r} does not end with {y!r}")
+    if len(ghat.word) < ny or ghat.word[:ny] != reverse_complement(y):
+        raise InterfaceError(
+            f"right word {ghat.word!r} does not start with {reverse_complement(y)!r}"
+        )
+    nz = len(ghat.word) - ny
+    P, YL, YR, S = 0, 1, 2, 3  # prefix, interface left/right, suffix
+
+    def left_node(p: int) -> _Node:
+        return (P, p) if p <= nx else (YL, p - nx)
+
+    def right_node(p: int) -> _Node:
+        return (YR, p) if p <= ny else (S, p - ny)
+
+    edges: list[_Edge] = []
+    for i, j in sorted(fhat.arcs):
+        edges.append(
+            (left_node(i), left_node(j), "arc", pair_class(fhat.word[i - 1], fhat.word[j - 1]))
+        )
+    for i, j in sorted(ghat.arcs):
+        edges.append(
+            (right_node(i), right_node(j), "arc", pair_class(ghat.word[i - 1], ghat.word[j - 1]))
+        )
+    for i in range(1, ny + 1):
+        edges.append(
+            ((YL, i), (YR, ny + 1 - i), "interface", pair_class(y[i - 1], complement(y[i - 1])))
+        )
+
+    arcs: set[tuple[int, int]] = set()
+
+    def emit(a: _Node, b: _Node) -> bool:
+        def out_pos(node: _Node) -> int:
+            layer, p = node
+            return p if layer == P else nx + p
+
+        pa, pb = out_pos(a), out_pos(b)
+        arcs.add((min(pa, pb), max(pa, pb)))
+        return True
+
+    tally = _classify(_trace_components(edges), frozenset({P, S}), emit)
+    result = SecondaryStructure.unchecked(fhat.word[:nx] + ghat.word[ny:], arcs)
+    report = LoopReport(
+        interface_bonds_formed=ny,
+        bonds_before=len(fhat.arcs) + len(ghat.arcs),
+        bonds_after=len(result.arcs),
+        **tally,
+    )
+    return result, report

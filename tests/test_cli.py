@@ -300,3 +300,40 @@ class TestRender:
             capsys, "render", FIXTURES / "rectangle.ddna", "--format", "text"
         )
         assert code == 1 and "structures" in err
+
+
+class TestErrorBoundary:
+    """Every failure is one ``ddna:`` line on stderr and exit code 1."""
+
+    @staticmethod
+    def assert_one_line_error(code, out, err):
+        assert code == 1 and out == ""
+        assert err.startswith("ddna: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "revcomp", "ACG", "-o", target)
+        self.assert_one_line_error(code, out, err)
+        assert "No such file or directory" in err and not target.exists()
+
+    def test_validate_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dbn"
+        bad.write_bytes(b"AC\xff\n..\n")
+        code, out, err = run(capsys, "validate", bad)
+        self.assert_one_line_error(code, out, err)
+        assert f"{bad}: 'utf-8' codec" in err
+
+    def test_parse_non_utf8_lexicon(self, capsys, tmp_path):
+        bad = tmp_path / "lexicon.yaml"
+        bad.write_bytes(fixture_text("lexicon.yaml").encode() + b"\xff\n")
+        code, out, err = run(capsys, "parse", "Cats", "--lexicon", bad, "--goal", "n")
+        self.assert_one_line_error(code, out, err)
+        assert f"{bad}: 'utf-8' codec" in err
+
+    def test_lexicon_type_word_with_bad_letters(self, capsys, tmp_path):
+        bad = tmp_path / "lexicon.yaml"
+        bad.write_text("types: {n: AXG}\nentries: {}\n")
+        code, out, err = run(capsys, "parse", "Cats", "--lexicon", bad, "--goal", "n")
+        self.assert_one_line_error(code, out, err)
+        assert f"{bad}: invalid letters" in err

@@ -1,0 +1,86 @@
+"""Golden CLI transcripts: every subcommand on the shipped fixtures.
+
+Each case runs ``main()`` inside ``tests/fixtures`` (so paths in messages
+are bare file names) and compares ``(exit code, stdout, stderr)`` with
+``tests/fixtures/golden/<name>.json``.  The transcripts pin the CLI's
+output byte for byte; regenerate them only for an intended output change,
+with ``python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from ddna.cli import build_parser, main
+from _oracles import FIXTURES
+
+GOLDEN = FIXTURES / "golden"
+
+SENTENCE = ["Cats", "chase", "mice", "--lexicon", "lexicon.yaml", "--goal", "s"]
+
+CASES = {
+    "revcomp": ["revcomp", "ACGTTGCA"],
+    "revcomp_empty": ["revcomp", "-"],
+    "validate_ddna": ["validate", "stack_upper.ddna"],
+    "validate_dbn": ["validate", "hairpin.dbn"],
+    "compose": ["compose", "stack_upper.ddna", "stack_lower.ddna"],
+    "compose_report": [
+        "compose",
+        "displacement_substrate.ddna",
+        "displacement_invader.ddna",
+        "--report",
+    ],
+    "compose_report_stack": ["compose", "stack_upper.ddna", "stack_lower.ddna", "--report"],
+    "bend": ["bend", "bend_input.ddna"],
+    "unbend": ["unbend", "bend_straightened.dbn", "--source-len", "5"],
+    "enumerate": ["enumerate", "ACGTAC"],
+    "count": ["count", "ACGTAGGGTACGT", "--theta", "3"],
+    "fold": ["fold", "ACGTAGGGTACGT", "--theta", "3"],
+    "parse": ["parse", *SENTENCE],
+    "parse_all_proofs": ["parse", *SENTENCE, "--all-proofs"],
+    "meaning_report": ["meaning", *SENTENCE, "--report"],
+    "meaning_text": ["meaning", *SENTENCE, "--format", "text"],
+    "meaning_svg": ["meaning", *SENTENCE, "--format", "svg"],
+    "render_structure_svg": ["render", "hairpin.dbn"],
+    "render_structure_text": ["render", "zip_result.dbn", "--format", "text"],
+    "render_diagram_svg": ["render", "rectangle.ddna", "--arrows"],
+    "error_interface_mismatch": ["compose", "stack_upper.ddna", "stack_upper.ddna"],
+    "error_no_reduction": ["parse", "Cats", "Cats", "--lexicon", "lexicon.yaml", "--goal", "s"],
+    "error_missing_file": ["validate", "missing.ddna"],
+    "error_bad_letters": ["revcomp", "ACGX"],
+}
+
+
+def transcript(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(FIXTURES)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_transcript_matches_golden(name):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert transcript(CASES[name]) == expected
+
+
+def test_every_subcommand_is_covered():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in CASES.values()} == set(subparsers.choices)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        text = json.dumps(transcript(argv), indent=1, ensure_ascii=False) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
