@@ -9,16 +9,18 @@ hairpin-loop size.  ``min_loop = 0`` is the pure calculus.
 
 Enumeration yields each structure exactly once, lazily, in lexicographic
 order of the sorted arc list, starting with the empty structure.
-Counting uses an interval recursion and never materializes structures,
-so it scales to words far beyond what enumeration can cover.
+Counting and maximum bonds fill interval tables bottom-up over partner
+lists and never materialize structures; listing witnesses recurses at
+most as deep as the bond count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import SecondaryStructure, canonical_word, is_complementary
+from .core import ALPHABET, SecondaryStructure, canonical_word, complement
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,12 @@ def is_member(structure: SecondaryStructure, cfg: FoldConfig = DEFAULT) -> bool:
     return all(j - i - 1 >= cfg.min_loop for i, j in structure.arcs)
 
 
-def _pair_table(word: str, cfg: FoldConfig) -> list[list[bool]]:
-    n = len(word)
-    table = [[False] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + cfg.min_loop + 1, n + 1):
-            table[i][j] = is_complementary(word[i - 1], word[j - 1])
-    return table
+def _partners(word: str, cfg: FoldConfig) -> list[list[int]]:
+    """``partners[i]``: ascending positions ``k >= i + min_loop + 1`` pairing with ``i``."""
+    mates = {complement(x): [k for k, y in enumerate(word, 1) if y == x] for x in ALPHABET}
+    return [[]] + [
+        mates[x][bisect_left(mates[x], i + cfg.min_loop + 1):] for i, x in enumerate(word, 1)
+    ]
 
 
 def enumerate_structures(
@@ -64,59 +65,62 @@ def enumerate_structures(
     The generator walks the prefix tree of sorted arc lists: every prefix
     of a valid sorted arc list is itself valid, so emitting each node
     before its extensions produces exactly the lexicographic order.  The
-    empty structure always comes first.
+    empty structure always comes first.  The word is checked on the call.
     """
     word = canonical_word(word)
+    return _walk(word, _partners(word, cfg))
+
+
+def _walk(word: str, partners: list[list[int]]) -> Iterator[SecondaryStructure]:
     n = len(word)
-    pairable = _pair_table(word, cfg)
-    used = [False] * (n + 1)
+
+    def extensions(start: int, ends: tuple) -> Iterator[tuple[int, int, tuple]]:
+        # Committed arcs all start before i, so (i, j) extends them iff j lies
+        # below the innermost right end still open at i; as i < j, i is free.
+        # ``ends`` links those ends innermost first, ``(end, rest)``, to n + 1.
+        for i in range(start, n + 1):
+            while ends[0] < i:
+                ends = ends[1]
+            for j in partners[i]:
+                if j >= ends[0]:
+                    break
+                yield i, j, (j, ends)
+
     arcs: list[tuple[int, int]] = []
-
-    def crosses(i: int, j: int) -> bool:
-        # Committed arcs all precede (i, j) lexicographically, so the only
-        # possible crossing pattern is a < i < b < j.
-        return any(a < i < b < j for a, b in arcs)
-
-    def extend(min_i: int, min_j: int) -> Iterator[SecondaryStructure]:
-        yield SecondaryStructure.unchecked(word, arcs)
-        for i in range(min_i, n + 1):
-            if used[i]:
-                continue
-            j_start = max(i + cfg.min_loop + 1, min_j if i == min_i else 0)
-            for j in range(j_start, n + 1):
-                if used[j] or not pairable[i][j] or crosses(i, j):
-                    continue
-                arcs.append((i, j))
-                used[i] = used[j] = True
-                yield from extend(i, j + 1)
-                used[i] = used[j] = False
-                arcs.pop()
-
-    return extend(1, 2)
+    yield SecondaryStructure.unchecked(word, arcs)
+    stack = [extensions(1, (n + 1, None))]  # stack[d] extends arcs[:d]; no recursion
+    while stack:
+        for i, j, ends in stack[-1]:
+            arcs.append((i, j))
+            yield SecondaryStructure.unchecked(word, arcs)
+            stack.append(extensions(i + 1, ends))
+            break
+        else:
+            stack.pop()
+            del arcs[-1:]  # the frame's arc; the root frame has none
 
 
 def count_structures(word: str, cfg: FoldConfig = DEFAULT) -> int:
-    """Number of structures on ``word``, by interval recursion.
+    """Number of structures on ``word``, by an interval table filled bottom-up.
 
-    ``N(i, j) = N(i+1, j) + sum over pairable k of N(i+1, k-1) * N(k+1, j)``
+    ``N(i, j) = N(i+1, j) + sum over partners k <= j of i of N(i+1, k-1) * N(k+1, j)``
     with ``N = 1`` on empty intervals; equals ``len(list(enumerate_structures(...)))``.
     """
     word = canonical_word(word)
     n = len(word)
-    pairable = _pair_table(word, cfg)
-    # counts[i][j] for the closed interval i..j; empty intervals are 1.
+    partners = _partners(word, cfg)
+    # counts[i][j] for the closed interval i..j; empty intervals (j < i) hold 1.
     counts = [[1] * (n + 2) for _ in range(n + 2)]
-    for span in range(2, n + 1):
-        for i in range(1, n - span + 2):
-            j = i + span - 1
-            total = counts[i + 1][j]
-            for k in range(i + cfg.min_loop + 1, j + 1):
-                if pairable[i][k]:
-                    inner = counts[i + 1][k - 1] if k - 1 >= i + 1 else 1
-                    outer = counts[k + 1][j] if k + 1 <= j else 1
-                    total += inner * outer
-            counts[i][j] = total
-    return counts[1][n] if n else 1
+    for i in range(n, 0, -1):
+        row, below = counts[i], counts[i + 1]
+        for j in range(i + 1, n + 1):
+            total = below[j]
+            for k in partners[i]:
+                if k > j:
+                    break
+                total += below[k - 1] * counts[k + 1][j]
+            row[j] = total
+    return counts[1][n]
 
 
 def max_bond(
@@ -129,49 +133,44 @@ def max_bond(
     """
     word = canonical_word(word)
     n = len(word)
-    pairable = _pair_table(word, cfg)
-
-    best: dict[tuple[int, int], int] = {}
-
-    def bonds(i: int, j: int) -> int:
-        if j - i + 1 <= cfg.min_loop:
-            return 0
-        if (i, j) in best:
-            return best[i, j]
-        value = bonds(i + 1, j)
-        for k in range(i + cfg.min_loop + 1, j + 1):
-            if pairable[i][k]:
-                value = max(value, 1 + bonds(i + 1, k - 1) + bonds(k + 1, j))
-        best[i, j] = value
-        return value
+    partners = _partners(word, cfg)
+    # best[i][j]: most bonds on the closed interval i..j, filled like counts.
+    best = [[0] * (n + 2) for _ in range(n + 2)]
+    for i in range(n, 0, -1):
+        row, below = best[i], best[i + 1]
+        for j in range(i + 1, n + 1):
+            value = below[j]
+            for k in partners[i]:
+                if k > j:
+                    break
+                value = max(value, 1 + below[k - 1] + best[k + 1][j])
+            row[j] = value
 
     witnesses_memo: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
 
     def witnesses(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
-        # All arc lists on i..j attaining bonds(i, j), each sorted: an arc
-        # at i comes before the arcs inside it, which come before those
-        # after it.  The branches below are disjoint (they differ in what
-        # happens at position i), so no deduplication is needed.  Tuples,
-        # not sets, keep the memo small: it holds every interval's witnesses.
-        if j - i + 1 <= cfg.min_loop:
+        # All sorted arc lists on i..j with best[i][j] arcs, in sorted order:
+        # grouped by first arc (p, k), p running over the positions that keep
+        # best[p][j] at the target.  Each call below has a smaller target, so
+        # recursion is at most as deep as the bond count.  Tuples, not sets,
+        # keep the memo small: it holds every interval's witnesses.
+        target = best[i][j]
+        if target == 0:
             return [()]
         if (i, j) in witnesses_memo:
             return witnesses_memo[i, j]
-        target = bonds(i, j)
         found = []
-        if bonds(i + 1, j) == target:
-            found.extend(witnesses(i + 1, j))
-        for k in range(i + cfg.min_loop + 1, j + 1):
-            if pairable[i][k] and 1 + bonds(i + 1, k - 1) + bonds(k + 1, j) == target:
-                arc = ((i, k),)
-                for inner in witnesses(i + 1, k - 1):
-                    head = arc + inner
-                    found.extend(head + outer for outer in witnesses(k + 1, j))
+        p = i
+        while best[p][j] == target:
+            for k in partners[p]:
+                if k > j:
+                    break
+                if 1 + best[p + 1][k - 1] + best[k + 1][j] == target:
+                    for inner in witnesses(p + 1, k - 1):
+                        head = ((p, k),) + inner
+                        found.extend(head + outer for outer in witnesses(k + 1, j))
+            p += 1
         witnesses_memo[i, j] = found
         return found
 
-    if n == 0:
-        return 0, [SecondaryStructure("", frozenset())]
-    top = bonds(1, n)
-    # Sorted arc lists order the witnesses as sorted_arcs() would.
-    return top, [SecondaryStructure.unchecked(word, arcs) for arcs in sorted(witnesses(1, n))]
+    return best[1][n], [SecondaryStructure.unchecked(word, arcs) for arcs in witnesses(1, n)]

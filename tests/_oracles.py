@@ -11,6 +11,10 @@ anchor or survivor, is compared directly.  ``all_reductions_reference`` is
 the exponential proof search that ``all_reductions`` replaced.
 ``compose_reference`` and ``zip_and_transfer_reference`` glue through a
 general edge-list graph, the code the shared interface walk replaced.
+``enumerate_structures_reference``, ``count_structures_reference`` and
+``max_bond_reference`` fold over a pair matrix with a crossing scan, a
+span-ordered table and a per-position memo recursion: the code the
+partner-index tables replaced.
 """
 
 from __future__ import annotations
@@ -523,3 +527,125 @@ def zip_and_transfer_reference(
         **tally,
     )
     return result, report
+
+
+# --- reference folding -------------------------------------------------------
+
+
+def _pair_table_reference(word: str, cfg: FoldConfig) -> list[list[bool]]:
+    n = len(word)
+    table = [[False] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + cfg.min_loop + 1, n + 1):
+            table[i][j] = is_complementary(word[i - 1], word[j - 1])
+    return table
+
+
+def enumerate_structures_reference(
+    word: str, cfg: FoldConfig = FoldConfig()
+) -> Iterator[SecondaryStructure]:
+    """Reference for ``enumerate_structures``: recursive prefix-tree walk
+    with a pairwise crossing scan against every committed arc."""
+    word = canonical_word(word)
+    n = len(word)
+    pairable = _pair_table_reference(word, cfg)
+    used = [False] * (n + 1)
+    arcs: list[tuple[int, int]] = []
+
+    def crosses(i: int, j: int) -> bool:
+        # Committed arcs all precede (i, j) lexicographically, so the only
+        # possible crossing pattern is a < i < b < j.
+        return any(a < i < b < j for a, b in arcs)
+
+    def extend(min_i: int, min_j: int) -> Iterator[SecondaryStructure]:
+        yield SecondaryStructure.unchecked(word, arcs)
+        for i in range(min_i, n + 1):
+            if used[i]:
+                continue
+            j_start = max(i + cfg.min_loop + 1, min_j if i == min_i else 0)
+            for j in range(j_start, n + 1):
+                if used[j] or not pairable[i][j] or crosses(i, j):
+                    continue
+                arcs.append((i, j))
+                used[i] = used[j] = True
+                yield from extend(i, j + 1)
+                used[i] = used[j] = False
+                arcs.pop()
+
+    return extend(1, 2)
+
+
+def count_structures_reference(word: str, cfg: FoldConfig = FoldConfig()) -> int:
+    """Reference for ``count_structures``: the table filled by span over
+    every ``k``, with explicit empty-interval branches."""
+    word = canonical_word(word)
+    n = len(word)
+    pairable = _pair_table_reference(word, cfg)
+    # counts[i][j] for the closed interval i..j; empty intervals are 1.
+    counts = [[1] * (n + 2) for _ in range(n + 2)]
+    for span in range(2, n + 1):
+        for i in range(1, n - span + 2):
+            j = i + span - 1
+            total = counts[i + 1][j]
+            for k in range(i + cfg.min_loop + 1, j + 1):
+                if pairable[i][k]:
+                    inner = counts[i + 1][k - 1] if k - 1 >= i + 1 else 1
+                    outer = counts[k + 1][j] if k + 1 <= j else 1
+                    total += inner * outer
+            counts[i][j] = total
+    return counts[1][n] if n else 1
+
+
+def max_bond_reference(
+    word: str, cfg: FoldConfig = FoldConfig()
+) -> tuple[int, list[SecondaryStructure]]:
+    """Reference for ``max_bond``: a dict-memo recursion with one frame per
+    position, and witnesses sorted at the end."""
+    word = canonical_word(word)
+    n = len(word)
+    pairable = _pair_table_reference(word, cfg)
+
+    best: dict[tuple[int, int], int] = {}
+
+    def bonds(i: int, j: int) -> int:
+        if j - i + 1 <= cfg.min_loop:
+            return 0
+        if (i, j) in best:
+            return best[i, j]
+        value = bonds(i + 1, j)
+        for k in range(i + cfg.min_loop + 1, j + 1):
+            if pairable[i][k]:
+                value = max(value, 1 + bonds(i + 1, k - 1) + bonds(k + 1, j))
+        best[i, j] = value
+        return value
+
+    witnesses_memo: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+
+    def witnesses(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+        # All arc lists on i..j attaining bonds(i, j), each sorted: an arc
+        # at i comes before the arcs inside it, which come before those
+        # after it.  The branches below are disjoint (they differ in what
+        # happens at position i), so no deduplication is needed.  Tuples,
+        # not sets, keep the memo small: it holds every interval's witnesses.
+        if j - i + 1 <= cfg.min_loop:
+            return [()]
+        if (i, j) in witnesses_memo:
+            return witnesses_memo[i, j]
+        target = bonds(i, j)
+        found = []
+        if bonds(i + 1, j) == target:
+            found.extend(witnesses(i + 1, j))
+        for k in range(i + cfg.min_loop + 1, j + 1):
+            if pairable[i][k] and 1 + bonds(i + 1, k - 1) + bonds(k + 1, j) == target:
+                arc = ((i, k),)
+                for inner in witnesses(i + 1, k - 1):
+                    head = arc + inner
+                    found.extend(head + outer for outer in witnesses(k + 1, j))
+        witnesses_memo[i, j] = found
+        return found
+
+    if n == 0:
+        return 0, [SecondaryStructure("", frozenset())]
+    top = bonds(1, n)
+    # Sorted arc lists order the witnesses as sorted_arcs() would.
+    return top, [SecondaryStructure.unchecked(word, arcs) for arcs in sorted(witnesses(1, n))]

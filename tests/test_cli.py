@@ -153,6 +153,16 @@ class TestFolding:
         code, _, err = run(capsys, "count", "AXG")
         assert code == 1 and "invalid letters" in err
 
+    def test_enumerate_bad_word_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "out.dbn"
+        code, out, err = run(capsys, "enumerate", "AXT", "-o", target)
+        assert code == 1 and out == "" and "invalid letters" in err
+        assert not target.exists()
+
+    def test_fold_long_word_without_pairs(self, capsys):
+        word = "A" * 1500
+        assert run(capsys, "fold", word) == (0, f"max_bonds: 0\n\n{word}\n{'.' * 1500}\n", "")
+
 
 class TestGrammar:
     def test_parse_sentence(self, capsys):

@@ -1,9 +1,12 @@
 import random
+from itertools import islice
 from typing import Iterator
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ddna import (
+    AlphabetError,
     FoldConfig,
     SecondaryStructure,
     count_structures,
@@ -14,7 +17,13 @@ from ddna import (
     structure_as_diagram,
     validate,
 )
-from _oracles import all_structures_bruteforce, random_word
+from _oracles import (
+    all_structures_bruteforce,
+    count_structures_reference,
+    enumerate_structures_reference,
+    max_bond_reference,
+    random_word,
+)
 
 HAIRPIN = SecondaryStructure(
     "ACGTAGGGTACGT", {(1, 13), (2, 12), (3, 11), (4, 10), (5, 9)}
@@ -58,6 +67,10 @@ class TestEnumerate:
             listed = arcs_of(word, FoldConfig(0))
             assert listed == sorted(listed)
             assert len(listed) == len(set(listed))
+
+    def test_bad_word_is_rejected_on_the_call(self):
+        with pytest.raises(AlphabetError):
+            enumerate_structures("AXT")
 
     def test_hairpin_is_enumerated_at_theta_three(self):
         assert HAIRPIN in set(enumerate_structures(HAIRPIN.word, FoldConfig(3)))
@@ -136,6 +149,10 @@ class TestMaxBond:
     def test_empty_word(self):
         assert max_bond("", FoldConfig(0)) == (0, [SecondaryStructure("", set())])
 
+    def test_alternating_word_has_catalan_many_witnesses(self):
+        bonds, witnesses = max_bond("AT" * 10, FoldConfig(0))
+        assert bonds == 10 and len(witnesses) == 16796
+
     @pytest.mark.parametrize("theta", [0, 3])
     def test_agrees_with_enumeration(self, theta):
         rng = random.Random(31 + theta)
@@ -163,3 +180,50 @@ class TestIsMember:
 
     def test_min_loop_rejected(self):
         assert not is_member(SecondaryStructure("AT", {(1, 2)}), FoldConfig(3))
+
+
+def fold_outputs(word, theta, count, enumerate_, max_bond_):
+    cfg = FoldConfig(theta)
+    bonds, witnesses = max_bond_(word, cfg)
+    return (
+        count(word, cfg),
+        [s.sorted_arcs() for s in islice(enumerate_(word, cfg), 3000)],
+        bonds,
+        [s.sorted_arcs() for s in witnesses],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("ACGT", max_size=16), st.sampled_from([0, 1, 3]))
+@example("AT" * 10, 0)
+@example("ACGT" * 8, 0)
+def test_partner_tables_match_the_pair_matrix_reference(word, theta):
+    """Counts, the first 3,000 structures in order, and the maximum bond
+    count with its witnesses in order all equal the reference's."""
+    assert fold_outputs(
+        word, theta, count_structures, enumerate_structures, max_bond
+    ) == fold_outputs(
+        word,
+        theta,
+        count_structures_reference,
+        enumerate_structures_reference,
+        max_bond_reference,
+    )
+
+
+class TestLongWords:
+    """Sizes at which a recursion with one frame per position or per
+    committed arc exceeded the interpreter's recursion limit."""
+
+    def test_max_bond_without_pairs(self):
+        word = "A" * 1500
+        assert max_bond(word) == (0, [SecondaryStructure(word, set())])
+
+    def test_max_bond_on_a_purine_word_at_theta_three(self):
+        rng = random.Random(1200)
+        word = "".join(rng.choice("AG") for _ in range(1200))
+        assert max_bond(word, FoldConfig(3)) == (0, [SecondaryStructure(word, set())])
+
+    def test_enumeration_reaches_a_1500_arc_structure(self):
+        first = list(islice(enumerate_structures("AT" * 1500), 1600))
+        assert first[1500].sorted_arcs() == tuple((i, i + 1) for i in range(1, 3000, 2))
