@@ -146,15 +146,6 @@ def _load_lexicon(path: str) -> pg.Lexicon:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _sentence_types(lexicon: pg.Lexicon, words: list[str]) -> list[pg.PregroupType]:
-    types = []
-    for word in words:
-        if word not in lexicon.entries:
-            raise CliError(f"unknown vocabulary word {word!r}")
-        types.append(lexicon.entries[word].type)
-    return types
-
-
 def _format_proof(proof: pg.ReductionProof) -> str:
     links = " ".join(f"({p},{q})" for p, q in sorted(proof.links)) or "-"
     survivors = " ".join(str(s) for s in proof.survivors) or "-"
@@ -164,7 +155,7 @@ def _format_proof(proof: pg.ReductionProof) -> str:
 def _cmd_parse(args) -> None:
     lexicon = _load_lexicon(args.lexicon)
     goal = pg.parse_type(args.goal)
-    types = _sentence_types(lexicon, args.words)
+    types = [entry.type for entry in pg.sentence_entries(lexicon, args.words)]
     proofs = pg.all_reductions(types, goal)
     first = next(proofs, None)
     if first is None:

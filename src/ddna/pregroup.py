@@ -36,7 +36,6 @@ from .core import (
     structure_from_brackets,
 )
 from .diagram import Diagram, LoopReport, bend, compose, structure_as_diagram, tensor_all
-from .structures import FoldConfig, is_member
 
 
 class TypeSyntaxError(ValueError):
@@ -249,33 +248,40 @@ def functor_object(t: PregroupType, lexicon: Lexicon) -> str:
 def functor_reduction(
     proof: ReductionProof, types: Sequence[PregroupType], lexicon: Lexicon
 ) -> Diagram:
-    """The diagram a reduction maps to: duplex pairings for links, wires
-    for survivors."""
+    """The diagram a reduction maps to: duplex pairings for links, wires for
+    survivors.  Checks the proof once (``ValueError`` if invalid); a valid
+    proof's diagram is valid by construction, so it is built unchecked."""
     terms = flatten(types)
     bad = proof_violations(proof, terms)
     if bad:
         raise ValueError("invalid proof: " + "; ".join(str(v) for v in bad))
-    lengths = [len(functor_object(PregroupType((t,)), lexicon)) for t in terms]
-    offsets = list(accumulate(lengths, initial=0))
-    source = functor_object(PregroupType(terms), lexicon)
+    return _reduction_diagram(proof, terms, lexicon)
 
-    through = set()
-    target_offset = 0
-    for s in sorted(proof.survivors):
-        for i in range(1, lengths[s - 1] + 1):
-            through.add((offsets[s - 1] + i, target_offset + i))
-        target_offset += lengths[s - 1]
 
-    source_arcs = set()
-    for p, q in proof.links:
-        length = lengths[p - 1]
-        for i in range(1, length + 1):
-            source_arcs.add((offsets[p - 1] + i, offsets[q - 1] + length + 1 - i))
+def _reduction_diagram(
+    proof: ReductionProof, terms: Sequence[SimpleTerm], lexicon: Lexicon
+) -> Diagram:
+    """The image of a valid proof, built unchecked: a link joins a block to
+    its reverse complement, links do not cross, and no survivor lies under one."""
+    image = {t: functor_object(PregroupType((t,)), lexicon) for t in dict.fromkeys(terms)}
+    offsets = list(accumulate((len(image[t]) for t in terms), initial=0))
+    source = canonical_word("".join(image[t] for t in terms))
+    kept = [i for s in proof.survivors for i in range(offsets[s - 1] + 1, offsets[s] + 1)]
+    source_arcs = [
+        (i, offsets[p - 1] + offsets[q] + 1 - i)  # letter k of p pairs with len + 1 - k of q
+        for p, q in proof.links
+        for i in range(offsets[p - 1] + 1, offsets[p] + 1)
+    ]
+    target = "".join(source[offsets[s - 1] : offsets[s]] for s in proof.survivors)
+    return Diagram.unchecked(source, target, zip(kept, range(1, len(kept) + 1)), source_arcs)
 
-    target = functor_object(
-        PregroupType(tuple(terms[s - 1] for s in sorted(proof.survivors))), lexicon
-    )
-    return Diagram(source, target, through, source_arcs)
+
+def sentence_entries(lexicon: Lexicon, words: Sequence[str]) -> list[LexiconEntry]:
+    """Each word's lexicon entry; :class:`LexiconError` names the first unknown word."""
+    try:
+        return [lexicon.entries[word] for word in words]
+    except KeyError as exc:
+        raise LexiconError(f"unknown vocabulary word {exc.args[0]!r}") from None
 
 
 def meaning(
@@ -284,21 +290,17 @@ def meaning(
     """The structure a grammatical sentence leaves on the goal word.
 
     Tensors the lexical states, composes with the canonical reduction's
-    diagram, and straightens.  Returns None when no reduction exists;
-    raises :class:`LexiconError` for vocabulary not in the lexicon.
+    diagram (built unchecked: the proof comes from :func:`find_reduction`),
+    and straightens.  Returns None when no reduction exists; raises
+    :class:`LexiconError` for vocabulary not in the lexicon.
     """
-    entries = []
-    for word in sentence:
-        try:
-            entries.append(lexicon.entries[word])
-        except KeyError:
-            raise LexiconError(f"unknown vocabulary word {word!r}") from None
+    entries = sentence_entries(lexicon, sentence)
     types = [entry.type for entry in entries]
     proof = find_reduction(types, goal)
     if proof is None:
         return None
     state = tensor_all(structure_as_diagram(entry.structure) for entry in entries)
-    composite, report = compose(state, functor_reduction(proof, types, lexicon))
+    composite, report = compose(state, _reduction_diagram(proof, flatten(types), lexicon))
     return bend(composite), report
 
 
@@ -338,7 +340,6 @@ def load_lexicon(text: str) -> Lexicon:
     theta = data.get("theta", 0)
     if isinstance(theta, bool) or not isinstance(theta, int) or theta < 0:
         raise LexiconError(f"'theta' must be a nonnegative integer, got {theta!r}")
-    cfg = FoldConfig(theta)
 
     lexicon = Lexicon(assignments, {}, theta)
     entries = {}
@@ -354,7 +355,7 @@ def load_lexicon(text: str) -> Lexicon:
             structure = structure_from_brackets(image, str(record["structure"]).strip())
         except (KeyError, ValueError) as exc:
             raise LexiconError(f"entry {word!r}: {exc}") from None
-        if not is_member(structure, cfg):
+        if any(j - i - 1 < theta for i, j in structure.arcs):
             raise LexiconError(
                 f"entry {word!r}: structure breaks the min_loop={theta} constraint"
             )

@@ -14,7 +14,9 @@ general edge-list graph, the code the shared interface walk replaced.
 ``enumerate_structures_reference``, ``count_structures_reference`` and
 ``max_bond_reference`` fold over a pair matrix with a crossing scan, a
 span-ordered table and a per-position memo recursion: the code the
-partner-index tables replaced.
+partner-index tables replaced.  ``tensor_all_reference`` and
+``functor_reduction_reference`` build the functor image word by word and
+validate it again, the code the one-pass, validate-once path replaced.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ddna import (
     Diagram,
@@ -32,11 +35,22 @@ from ddna import (
     SecondaryStructure,
     bond_count,
     enumerate_structures,
+    identity,
     reverse_complement,
+    tensor,
     unbend,
 )
 from ddna.core import Violation, canonical_word, complement, is_complementary, pair_class
-from ddna.pregroup import PregroupType, ReductionProof, SimpleTerm, _link_ok, flatten
+from ddna.pregroup import (
+    Lexicon,
+    PregroupType,
+    ReductionProof,
+    SimpleTerm,
+    _link_ok,
+    flatten,
+    functor_object,
+    proof_violations,
+)
 from ddna.structures import FoldConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -649,3 +663,51 @@ def max_bond_reference(
     top = bonds(1, n)
     # Sorted arc lists order the witnesses as sorted_arcs() would.
     return top, [SecondaryStructure.unchecked(word, arcs) for arcs in sorted(witnesses(1, n))]
+
+
+# --- reference grammar-to-DNA path -------------------------------------------
+#
+# ``tensor_all`` and ``functor_reduction`` as they were before the functor
+# image was built in one pass and validated once, kept verbatim.
+
+
+def tensor_all_reference(diagrams: Iterable[Diagram]) -> Diagram:
+    """Reference for ``tensor_all``: a fold over ``tensor``, which copies
+    the accumulated arc sets at every step, so it is quadratic."""
+    result = identity("")
+    for d in diagrams:
+        result = tensor(result, d)
+    return result
+
+
+def functor_reduction_reference(
+    proof: ReductionProof, types: Sequence[PregroupType], lexicon: Lexicon
+) -> Diagram:
+    """Reference for ``functor_reduction``: the diagram a reduction maps to,
+    built through the validating ``Diagram`` constructor after the proof
+    check, with each term's block computed three times."""
+    terms = flatten(types)
+    bad = proof_violations(proof, terms)
+    if bad:
+        raise ValueError("invalid proof: " + "; ".join(str(v) for v in bad))
+    lengths = [len(functor_object(PregroupType((t,)), lexicon)) for t in terms]
+    offsets = list(accumulate(lengths, initial=0))
+    source = functor_object(PregroupType(terms), lexicon)
+
+    through = set()
+    target_offset = 0
+    for s in sorted(proof.survivors):
+        for i in range(1, lengths[s - 1] + 1):
+            through.add((offsets[s - 1] + i, target_offset + i))
+        target_offset += lengths[s - 1]
+
+    source_arcs = set()
+    for p, q in proof.links:
+        length = lengths[p - 1]
+        for i in range(1, length + 1):
+            source_arcs.add((offsets[p - 1] + i, offsets[q - 1] + length + 1 - i))
+
+    target = functor_object(
+        PregroupType(tuple(terms[s - 1] for s in sorted(proof.survivors))), lexicon
+    )
+    return Diagram(source, target, through, source_arcs)

@@ -254,6 +254,13 @@ class TestGrammar:
         )
         assert code == 1 and "dogs" in err
 
+    @pytest.mark.parametrize("command", ["parse", "meaning"])
+    def test_unknown_word_message(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "Cats", "x", "--lexicon", FIXTURES / "lexicon.yaml", "--goal", "s"
+        )
+        assert (code, out, err) == (1, "", "ddna: unknown vocabulary word 'x'\n")
+
     def test_parse_all_proofs_in_order(self, capsys, tmp_path):
         lexicon = tmp_path / "lexicon.yaml"
         lexicon.write_text('types: {a: ACG}\nentries:\n  x: {type: "a a^r", structure: "......"}\n')

@@ -286,6 +286,19 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="min_loop"):
             load_lexicon(text)
 
+    def test_non_complementary_brackets_keep_the_structure_error(self):
+        text = "types: {n: AA}\nentries:\n  Cats: {type: n, structure: '()'}\n"
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == "entry 'Cats': complementarity: arc (1,2) pairs A with A"
+
+    def test_min_loop_bound_is_inclusive_and_named(self):
+        text = "types: {n: AGGGT}\ntheta: %d\nentries:\n  Cats: {type: n, structure: '(...)'}\n"
+        assert load_lexicon(text % 3).entries["Cats"].structure.sorted_arcs() == ((1, 5),)
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text % 4)
+        assert str(exc.value) == "entry 'Cats': structure breaks the min_loop=4 constraint"
+
     def test_unknown_basic_type_in_entry(self):
         with pytest.raises(LexiconError, match="unknown basic type"):
             load_lexicon("types: {n: AT}\nentries:\n  go: {type: v, structure: ''}\n")
