@@ -22,6 +22,7 @@ composing the lexical states with the reduction diagram.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
@@ -111,11 +112,6 @@ class ReductionProof:
     survivors: tuple[int, ...]
 
 
-def _link_ok(terms: Sequence[SimpleTerm], p: int, q: int) -> bool:
-    a, b = terms[p - 1], terms[q - 1]
-    return a.basic == b.basic and b.adjoint == a.adjoint + 1
-
-
 def proof_violations(
     proof: ReductionProof, terms: Sequence[SimpleTerm]
 ) -> list[Violation]:
@@ -128,10 +124,10 @@ def proof_violations(
         used.extend((p, q))
         if not 1 <= p < q <= len(terms):
             violations.append(Violation("index-range", f"link ({p},{q}) out of range"))
-        elif not _link_ok(terms, p, q):
-            violations.append(
-                Violation("link-typing", f"link ({p},{q}) joins {terms[p - 1]} and {terms[q - 1]}")
-            )
+        else:
+            a, b = terms[p - 1], terms[q - 1]
+            if a.basic != b.basic or b.adjoint != a.adjoint + 1:
+                violations.append(Violation("link-typing", f"link ({p},{q}) joins {a} and {b}"))
     if sorted(used) != list(range(1, len(terms) + 1)):
         violations.append(Violation("partition", "links and survivors do not partition the terms"))
     if tuple(sorted(proof.survivors)) != proof.survivors:
@@ -149,6 +145,33 @@ def flatten(types: Sequence[PregroupType]) -> tuple[SimpleTerm, ...]:
     return tuple(term for t in types for term in t.terms)
 
 
+def _partner_index(terms: Sequence[tuple[str, int]]) -> list[list[int]]:
+    """For each position p of the 1-based ``terms``, the ascending positions
+    at odd distance from p whose term has p's basic type and one more
+    adjoint; those p may link to, right of it, follow
+    ``bisect_right(partners[p], p)``.  Positions share one list per
+    ``(basic, adjoint, parity)`` bucket; each list ends in ``len(terms)``,
+    past every position."""
+    end = len(terms)
+    buckets: dict[tuple[str, int], tuple[list[int], list[int]]] = {}  # even, odd positions
+    for p, term in enumerate(terms):
+        pair = buckets.get(term)
+        if pair is None:
+            pair = buckets[term] = ([], [])
+        pair[p & 1].append(p)
+    for pair in buckets.values():
+        for bucket in pair:
+            bucket.append(end)
+    partners = [[end]] * end
+    for (basic, z), pair in buckets.items():
+        mates = buckets.get((basic, z + 1))
+        if mates is not None:
+            for bucket, ks in zip(pair, reversed(mates)):  # odd distance: the other parity
+                for p in bucket[:-1]:
+                    partners[p] = ks
+    return partners
+
+
 def all_reductions(
     types: Sequence[PregroupType], goal: PregroupType
 ) -> Iterator[ReductionProof]:
@@ -156,54 +179,206 @@ def all_reductions(
 
     Proofs come out in leftmost-innermost order: at each position a link
     with the nearest valid partner is preferred over letting the term
-    survive.  A memo of which spans reduce to which goal suffixes prunes
-    every branch that yields no proof, so for m terms rejecting costs
-    O(m^3) time and O(m^2) space, and each proof costs polynomial time.
+    survive.  A span ``(lo, hi, g)`` -- terms lo..hi, to reduce to the
+    goal's terms from ``g`` on -- is solved once and memoised with its
+    first choice, which prunes every branch that yields no proof.  For m
+    terms and a d-term goal the memo holds O(m^2 (d+1)) entries, each
+    found by one scan of its first term's partners, so rejecting costs
+    O(m^3 (d+1)) time at worst.  The first proof follows the memo's first
+    choices; later ones backtrack to the last span with another choice,
+    and a span with exactly one proof is then spliced in as one shared
+    segment.  The search and the proof walk keep explicit stacks: nothing
+    recurses on sentence length.
     """
-    terms, goal_terms = flatten(types), goal.terms
-    m, done = len(terms), len(goal_terms)
-    memo: dict[tuple[int, int, int], bool] = {}
+    done = len(goal.terms)
+    if (sum(len(t.terms) for t in types) - done) % 2:  # links remove terms in pairs
+        return
+    terms = [("", 0)] + [(t.basic, t.adjoint) for typ in types for t in typ.terms]
+    goal_terms = [(t.basic, t.adjoint) for t in goal.terms]
+    m = len(terms) - 1
+    partners = _partner_index(terms)
+    # memo[span]: the span's first choice -- the partner its first term links
+    # to, or ``lo`` when that term survives -- or 0 if the span does not
+    # reduce.  Spans inside a link use ``g = done``: they contract completely.
+    memo: dict[tuple[int, int, int], int] = {}
+    get = memo.get
 
-    def reduces(lo: int, hi: int, g: int) -> bool:
-        """Whether terms lo..hi reduce to goal_terms[g:]; spans inside a
-        link use ``g = done``, so they must contract completely."""
+    def solve(span: tuple[int, int, int]) -> int:
+        """Fill ``memo[span]`` and every span it needs, depth first in the
+        order of the recursive definition, from an explicit stack."""
+        top, stack = span, []  # suspended spans, each followed by its cursor
+        i = bisect_right(partners[span[0]], span[0])  # cursor into partners[lo], -1: survival
+        while True:
+            lo, hi, g = span
+            ok = 0
+            if i >= 0:
+                ks = partners[lo]
+                k = ks[i]
+                while k <= hi:
+                    ok = True
+                    if k > lo + 1:
+                        need = (lo + 1, k - 1, done)
+                        ok = get(need)
+                    if ok:
+                        if k < hi:
+                            need = (k + 1, hi, g)
+                            ok = get(need)
+                        else:
+                            ok = g == done
+                    if ok is None or ok:
+                        break
+                    i += 1
+                    k = ks[i]
+                else:
+                    i = -1
+            if i < 0:
+                k = lo
+                ok = g < done and terms[lo] == goal_terms[g]
+                if ok:
+                    if lo < hi:
+                        need = (lo + 1, hi, g + 1)
+                        ok = get(need)
+                    else:
+                        ok = g + 1 == done
+            if ok is None:  # solve ``need`` first, then resume here
+                stack += (span, i)
+                span, i = need, bisect_right(partners[need[0]], need[0])
+                continue
+            memo[span] = k if ok else 0
+            if not stack:
+                return memo[top]
+            i = stack.pop()
+            span = stack.pop()
+
+    def holds(lo: int, hi: int, g: int) -> bool:
         if lo > hi:
             return g == done
-        key = (lo, hi, g)
-        if key in memo:
-            return memo[key]
-        for k in range(lo + 1, hi + 1, 2):
-            if _link_ok(terms, lo, k) and reduces(lo + 1, k - 1, done) and reduces(k + 1, hi, g):
-                memo[key] = True
-                return True
-        memo[key] = g < done and terms[lo - 1] == goal_terms[g] and reduces(lo + 1, hi, g + 1)
-        return memo[key]
+        found = get((lo, hi, g))
+        return bool(solve((lo, hi, g)) if found is None else found)
 
+    choices: dict[tuple[int, int, int], list[int]] = {}
+
+    def choices_of(span: tuple[int, int, int]) -> list[int]:
+        """The span's choices in proof order, listed on first use: each
+        partner its first term can link to, ascending, then ``lo`` if that
+        term can survive.  The first is ``memo[span]``."""
+        found = choices.get(span)
+        if found is None:
+            lo, hi, g = span
+            ks = partners[lo]
+            i = bisect_right(ks, lo)
+            found = [lo + 1] if ks[i] == lo + 1 <= hi and holds(lo + 2, hi, g) else []
+            if lo < hi:
+                # Past lo + 1, a link to k encloses lo + 1, which must link
+                # inside it: k lies beyond the first partner of lo + 1.
+                mates = partners[lo + 1]
+                floor = mates[bisect_right(mates, lo + 1)]
+                found += [
+                    k
+                    for k in ks[bisect_right(ks, floor, i) : bisect_right(ks, hi, i)]
+                    if holds(lo + 1, k - 1, done) and holds(k + 1, hi, g)
+                ]
+            if g < done and terms[lo] == goal_terms[g] and holds(lo + 1, hi, g + 1):
+                found.append(lo)
+            choices[span] = found
+        return found
+
+    def parts(span: tuple[int, int, int], choice: int) -> list[tuple[int, int, int]]:
+        """The nonempty spans a choice leaves to reduce, leftmost first."""
+        lo, hi, g = span
+        if choice == lo:
+            return [(lo + 1, hi, g + 1)] if lo < hi else []
+        return [s for s in ((lo + 1, choice - 1, done), (choice + 1, hi, g)) if s[0] <= s[1]]
+
+    single: dict[tuple[int, int, int], bool] = {}
+    segments: dict[tuple[int, int, int], tuple[tuple, tuple] | None] = {}
+
+    def segment(top: tuple[int, int, int]) -> tuple[tuple, tuple] | None:
+        """The links and survivors of the span's only proof, shared by every
+        later proof that contains it, or None if it has more than one.  A
+        span has one proof when it and every span its first choice leaves
+        have one choice each: settled in post-order, each span once."""
+        if top in segments:
+            return segments[top]
+        stack = [top]
+        while stack:
+            span = stack[-1]
+            if span in single:
+                stack.pop()
+                continue
+            ch = choices_of(span)
+            kids = parts(span, ch[0]) if len(ch) == 1 else []
+            flags = [single.get(s) for s in kids]
+            if len(ch) > 1 or False in flags:
+                single[span] = False
+            elif None in flags:
+                stack.extend(s for s, flag in zip(kids, flags) if flag is None)
+                continue
+            else:
+                single[span] = True
+            stack.pop()
+        found = None
+        if single[top]:
+            seg_links, seg_survivors, stack = [], [], [top]
+            while stack:
+                span = stack.pop()
+                c = memo[span]
+                if c == span[0]:
+                    seg_survivors.append(c)
+                else:
+                    seg_links.append((span[0], c))
+                stack.extend(reversed(parts(span, c)))
+            found = (tuple(seg_links), tuple(seg_survivors))
+        segments[top] = found
+        return found
+
+    if not holds(1, m, 0):
+        return
     links: list[tuple[int, int]] = []
     survivors: list[int] = []
-
-    def proofs(lo: int, hi: int, g: int) -> Iterator[None]:
-        """Yield once per proof that terms lo..hi reduce to goal_terms[g:],
-        given that they do, with its links and survivors pushed on ``links``
-        and ``survivors``: links to each ``k`` in turn, then survival."""
-        if lo > hi:
-            yield
+    # One entry per span decided: (span, index of its choice, todo after it,
+    # len(links), len(survivors)) -- what backtracking restores.
+    decisions: list[tuple] = []
+    todo = ((1, m, 0), None) if m else None  # spans left, leftmost first, as (span, rest)
+    i = 0  # choice for the next span: 0 is memo's, i > 0 a retry after backtracking
+    later = False  # past the first proof: single-proof spans become segments
+    while True:
+        while todo is not None:
+            span, todo = todo
+            if i:
+                c = choices[span][i]
+            else:
+                if later:
+                    seg = segment(span)
+                    if seg is not None:
+                        links += seg[0]
+                        survivors += seg[1]
+                        continue
+                c = memo[span]
+            decisions.append((span, i, todo, len(links), len(survivors)))
+            i = 0
+            lo, hi, g = span
+            if c == lo:
+                survivors.append(lo)
+                if lo < hi:
+                    todo = ((lo + 1, hi, g + 1), todo)
+            else:
+                links.append((lo, c))
+                if c < hi:
+                    todo = ((c + 1, hi, g), todo)
+                if c > lo + 1:
+                    todo = ((lo + 1, c - 1, done), todo)
+        yield ReductionProof(frozenset(links), tuple(survivors))
+        later = True
+        while decisions:
+            span, i, todo, n_links, n_survivors = decisions.pop()
+            if i + 1 < len(choices_of(span)):
+                break
+        else:
             return
-        for k in range(lo + 1, hi + 1, 2):
-            if _link_ok(terms, lo, k) and reduces(lo + 1, k - 1, done) and reduces(k + 1, hi, g):
-                links.append((lo, k))
-                for _ in proofs(lo + 1, k - 1, done):
-                    yield from proofs(k + 1, hi, g)
-                links.pop()
-        if g < done and terms[lo - 1] == goal_terms[g] and reduces(lo + 1, hi, g + 1):
-            survivors.append(lo)
-            yield from proofs(lo + 1, hi, g + 1)
-            survivors.pop()
-
-    # Links remove terms in pairs, so no proof exists unless m - done is even.
-    if (m - done) % 2 == 0 and reduces(1, m, 0):
-        for _ in proofs(1, m, 0):
-            yield ReductionProof(frozenset(links), tuple(survivors))
+        del links[n_links:], survivors[n_survivors:]
+        todo = (span, todo)
+        i += 1
 
 
 def find_reduction(

@@ -46,7 +46,6 @@ from ddna.pregroup import (
     PregroupType,
     ReductionProof,
     SimpleTerm,
-    _link_ok,
     flatten,
     functor_object,
     proof_violations,
@@ -244,6 +243,11 @@ def arc_depths_pairwise(arcs) -> dict[tuple[int, int], int]:
         inner = [depths[a] for a in depths if i < a[0] and a[1] < j]
         depths[i, j] = 1 + max(inner, default=0)
     return depths
+
+
+def _link_ok(terms: Sequence[SimpleTerm], p: int, q: int) -> bool:
+    a, b = terms[p - 1], terms[q - 1]
+    return a.basic == b.basic and b.adjoint == a.adjoint + 1
 
 
 def proof_violations_pairwise(

@@ -270,6 +270,23 @@ class TestGrammar:
         assert code == 0
         assert out == "links: (1,2)\nsurvivors: 3 4\n\nlinks: (3,4)\nsurvivors: 1 2\n"
 
+    def test_long_chain_parses_and_means(self, capsys, tmp_path):
+        # 1,100 linked pairs: a traceback and exit 1 while the search recursed per link.
+        lexicon = tmp_path / "lexicon.yaml"
+        lexicon.write_text(
+            "types: {a: ACG}\nentries:\n"
+            '  x: {type: a, structure: "..."}\n  y: {type: a^r, structure: "..."}\n'
+        )
+        words = ["x", "y"] * 1100
+        links = " ".join(f"({2 * i - 1},{2 * i})" for i in range(1, 1101))
+        assert run(capsys, "parse", *words, "--lexicon", lexicon, "--goal", "1") == (
+            0,
+            f"links: {links}\nsurvivors: -\n",
+            "",
+        )
+        code, _, err = run(capsys, "meaning", *words, "--lexicon", lexicon, "--goal", "1")
+        assert (code, err) == (0, "")
+
     def test_parse_ungrammatical_writes_no_file(self, capsys, tmp_path):
         target = tmp_path / "proofs.txt"
         for extra in ([], ["--all-proofs"]):

@@ -104,3 +104,17 @@ def test_long_sentence_meaning_matches_the_reference_path():
     composite, report = compose(state, functor_reduction_reference(proof, types, lexicon))
     assert len(sentence) == 1599
     assert meaning(sentence, goal, lexicon) == (bend(composite), report)
+
+
+def test_sentence_past_the_old_recursion_limit_means_as_the_reference_path():
+    # From 3,963 words on, meaning raised RecursionError while the search recursed per link.
+    lexicon = load_lexicon(fixture_text("lexicon.yaml") + AND_ENTRY)
+    sentence = ["Cats", "chase", "mice"] + ["and", "Cats", "chase", "mice"] * 1000
+    goal = parse_type("s")
+    entries = [lexicon.entries[word] for word in sentence]
+    types = [entry.type for entry in entries]
+    proof = find_reduction(types, goal)
+    state = tensor_all_reference(structure_as_diagram(entry.structure) for entry in entries)
+    composite, report = compose(state, functor_reduction_reference(proof, types, lexicon))
+    assert len(sentence) == 4003
+    assert meaning(sentence, goal, lexicon) == (bend(composite), report)

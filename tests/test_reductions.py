@@ -2,6 +2,9 @@
 exponential and pairwise references, plus regressions at the sizes where
 the old search ran out of time or memory."""
 
+from itertools import islice
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddna import (
@@ -123,3 +126,75 @@ def proofs_to_check(draw) -> tuple[ReductionProof, tuple[SimpleTerm, ...]]:
 def test_proof_violations_match_the_pairwise_reference(case):
     proof, terms = case
     assert proof_violations(proof, terms) == proof_violations_pairwise(proof, terms)
+
+
+@pytest.mark.parametrize("pairs", [1100, 5000])
+def test_long_chains_reduce_without_recursion(pairs):
+    # Both raised RecursionError when the search recursed once per link.
+    types = [parse_type("a a^r")] * pairs
+    proof = ReductionProof(frozenset((2 * i - 1, 2 * i) for i in range(1, pairs + 1)), ())
+    assert find_reduction(types, PregroupType()) == proof
+    assert list(islice(all_reductions(types, PregroupType()), 2)) == [proof]
+
+
+NOUN, ADJ, PREP, VERB, REL, CONJ = (
+    parse_type(text)
+    for text in ("n", "n n^l", "n^r n n^l", "n^r s n^l", "n^r n s^l n", "s^r s s^l")
+)
+
+
+@st.composite
+def noun_phrase(draw, depth: int) -> list[PregroupType]:
+    """A noun, maybe with adjectives, prepositional phrases or relative
+    clauses; prepositions and relative clauses attach in several ways."""
+    kind = draw(st.sampled_from(["noun", "adj", "prep", "rel"] if depth else ["noun"]))
+    if kind == "noun":
+        return [NOUN]
+    if kind == "adj":
+        return [ADJ] + draw(noun_phrase(depth - 1))
+    head = draw(noun_phrase(depth - 1))
+    if kind == "prep":
+        return head + [PREP] + draw(noun_phrase(depth - 1))
+    return head + [REL, VERB] + draw(noun_phrase(depth - 1))
+
+
+@st.composite
+def attachment_sentences(draw) -> tuple[list[PregroupType], PregroupType]:
+    """Sentences (goal ``s``: clauses joined by conjunctions) or noun phrases
+    (goal ``n``) of a small attachment grammar, sometimes with one term
+    replaced, inserted or deleted, so spans with many proofs sit beside
+    spans with one."""
+    if draw(st.booleans()):
+        types, goal = draw(noun_phrase(3)), parse_type("n")
+    else:
+        types, goal = [], parse_type("s")
+        for clause in range(draw(st.integers(1, 2))):
+            types += [CONJ] * (clause > 0) + draw(noun_phrase(2)) + [VERB] + draw(noun_phrase(1))
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    if edit != "none":
+        w = draw(st.integers(0, len(types) - 1))
+        terms = list(types[w].terms)
+        i = draw(st.integers(0, len(terms)))
+        term = draw(term_strategy(["n", "s"]))
+        if edit == "insert":
+            terms.insert(i, term)
+        elif i < len(terms):
+            if edit == "replace":
+                terms[i] = term
+            else:
+                del terms[i]
+        types = types[:w] + [PregroupType(tuple(terms))] + types[w + 1 :]
+    return types, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(attachment_sentences())
+@example(([NOUN, VERB, NOUN, PREP, NOUN, PREP, NOUN], parse_type("s")))
+@example(([NOUN, VERB, NOUN, CONJ, NOUN, REL, VERB, NOUN, PREP, NOUN, VERB, NOUN], parse_type("s")))
+def test_attachment_proofs_match_the_reference_search(case):
+    types, goal = case
+    proofs = list(all_reductions(types, goal))
+    assert proofs == list(all_reductions_reference(types, goal))
+    assert find_reduction(types, goal) == (proofs[0] if proofs else None)
+    terms = tuple(t for typ in types for t in typ.terms)
+    assert all(proof_violations(p, terms) == [] for p in proofs)
