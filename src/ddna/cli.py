@@ -17,7 +17,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import diagram as dg
 from . import pregroup as pg
@@ -60,27 +60,20 @@ def _write_records(records: Iterable[str], path: str | None) -> None:
             handle.write(record)
 
 
-def _load_diagram(path: str) -> dg.Diagram:
+def _parser(path: str) -> Callable[[str], dg.Diagram | SecondaryStructure]:
+    return dg.parse_ddna if path.endswith(".ddna") else parse_dotbracket
+
+
+def _load(path: str, parse: Callable):
+    """``parse`` the file at ``path``; a parse error becomes a :class:`CliError`
+    naming the path, with an invalid diagram's violations listed below it."""
     try:
-        return dg.parse_ddna(_read(path))
+        return parse(_read(path))
     except dg.DiagramError as exc:
         lines = "\n".join(f"  {v}" for v in exc.violations)
         raise CliError(f"{path}: invalid diagram\n{lines}") from None
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-def _load_structure(path: str) -> SecondaryStructure:
-    try:
-        return parse_dotbracket(_read(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_any(path: str):
-    if path.endswith(".ddna"):
-        return _load_diagram(path)
-    return _load_structure(path)
 
 
 def _maybe_report(report: dg.LoopReport, wanted: bool) -> None:
@@ -94,30 +87,32 @@ def _cmd_revcomp(args) -> None:
 
 
 def _cmd_validate(args) -> None:
-    parse = dg.parse_ddna if args.path.endswith(".ddna") else parse_dotbracket
-    try:
-        parse(_read(args.path))
-    except dg.DiagramError as exc:
-        for violation in exc.violations:
-            sys.stderr.write(f"{violation}\n")
-        raise CliError(f"{args.path}: {len(exc.violations)} violation(s)") from None
-    except ValueError as exc:
-        raise CliError(f"{args.path}: {exc}") from None
+    parse = _parser(args.path)
+
+    def check(text: str) -> None:
+        try:
+            parse(text)
+        except dg.DiagramError as exc:  # listed bare, then counted
+            sys.stderr.writelines(f"{violation}\n" for violation in exc.violations)
+            raise CliError(f"{args.path}: {len(exc.violations)} violation(s)") from None
+
+    _load(args.path, check)
     print("ok")
 
 
 def _cmd_compose(args) -> None:
-    composite, report = dg.compose(_load_diagram(args.upper), _load_diagram(args.lower))
+    upper, lower = (_load(path, dg.parse_ddna) for path in (args.upper, args.lower))
+    composite, report = dg.compose(upper, lower)
     _write_records([dg.emit_ddna(composite)], args.output)
     _maybe_report(report, args.report)
 
 
 def _cmd_bend(args) -> None:
-    _write_records([emit_dotbracket(dg.bend(_load_diagram(args.path)))], args.output)
+    _write_records([emit_dotbracket(dg.bend(_load(args.path, dg.parse_ddna)))], args.output)
 
 
 def _cmd_unbend(args) -> None:
-    structure = _load_structure(args.path)
+    structure = _load(args.path, parse_dotbracket)
     _write_records([dg.emit_ddna(dg.unbend(structure, args.source_len))], args.output)
 
 
@@ -139,13 +134,6 @@ def _cmd_fold(args) -> None:
     _write_records(chain([f"max_bonds: {bonds}\n"], map(emit_dotbracket, witnesses)), args.output)
 
 
-def _load_lexicon(path: str) -> pg.Lexicon:
-    try:
-        return pg.load_lexicon(_read(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
 def _format_proof(proof: pg.ReductionProof) -> str:
     links = " ".join(f"({p},{q})" for p, q in sorted(proof.links)) or "-"
     survivors = " ".join(str(s) for s in proof.survivors) or "-"
@@ -153,7 +141,7 @@ def _format_proof(proof: pg.ReductionProof) -> str:
 
 
 def _cmd_parse(args) -> None:
-    lexicon = _load_lexicon(args.lexicon)
+    lexicon = _load(args.lexicon, pg.load_lexicon)
     goal = pg.parse_type(args.goal)
     types = [entry.type for entry in pg.sentence_entries(lexicon, args.words)]
     proofs = pg.all_reductions(types, goal)
@@ -164,18 +152,20 @@ def _cmd_parse(args) -> None:
     _write_records(map(_format_proof, chain([first], rest)), args.output)
 
 
+_STRUCTURE_FORMATS = {
+    "dotbracket": emit_dotbracket,
+    "text": rd.render_structure_text,
+    "svg": rd.render_structure_svg,
+}
+
+
 def _cmd_meaning(args) -> None:
-    lexicon = _load_lexicon(args.lexicon)
+    lexicon = _load(args.lexicon, pg.load_lexicon)
     result = pg.meaning(args.words, pg.parse_type(args.goal), lexicon)
     if result is None:
         raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
     structure, report = result
-    if args.format == "dotbracket":
-        _write_records([emit_dotbracket(structure)], args.output)
-    elif args.format == "text":
-        _write_records([rd.render_structure_text(structure)], args.output)
-    else:
-        _write_records([rd.render_structure_svg(structure)], args.output)
+    _write_records([_STRUCTURE_FORMATS[args.format](structure)], args.output)
     _maybe_report(report, args.report)
 
 
@@ -190,7 +180,7 @@ def _style(args) -> rd.RenderStyle:
 
 
 def _cmd_render(args) -> None:
-    value = _load_any(args.path)
+    value = _load(args.path, _parser(args.path))
     if isinstance(value, dg.Diagram):
         if args.format == "text":
             raise CliError("text rendering is for structures; use --format svg")
@@ -199,15 +189,6 @@ def _cmd_render(args) -> None:
         _write_records([rd.render_structure_text(value)], args.output)
     else:
         _write_records([rd.render_structure_svg(value, _style(args))], args.output)
-
-
-def _add_theta(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--theta",
-        type=int,
-        default=None,
-        help="minimum unpaired slots under every arc (default: $DDNA_THETA or 0)",
-    )
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -248,23 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=_cmd_unbend)
 
-    p = sub.add_parser("enumerate", help="list every structure on a word")
-    p.add_argument("word")
-    _add_theta(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("count", help="count structures without listing them")
-    p.add_argument("word")
-    _add_theta(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("fold", help="maximum-bond structures of a word")
-    p.add_argument("word")
-    _add_theta(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_fold)
+    for name, func, summary in (
+        ("enumerate", _cmd_enumerate, "list every structure on a word"),
+        ("count", _cmd_count, "count structures without listing them"),
+        ("fold", _cmd_fold, "maximum-bond structures of a word"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("word")
+        p.add_argument(
+            "--theta",
+            type=int,
+            default=None,
+            help="minimum unpaired slots under every arc (default: $DDNA_THETA or 0)",
+        )
+        _add_output(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("parse", help="find contraction proofs for a sentence")
     p.add_argument("words", nargs="+", metavar="word")
@@ -278,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("words", nargs="+", metavar="word")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--format", choices=["dotbracket", "text", "svg"], default="dotbracket")
+    p.add_argument("--format", choices=list(_STRUCTURE_FORMATS), default="dotbracket")
     p.add_argument("--report", action="store_true", help="print the loop report to stderr")
     _add_output(p)
     p.set_defaults(func=_cmd_meaning)

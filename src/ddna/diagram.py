@@ -173,39 +173,36 @@ def validate(d: Diagram) -> list[Violation]:
     """
     ns, nt = len(d.source), len(d.target)
     violations = []
-
-    def in_range(i: int, n: int) -> bool:
-        return 1 <= i <= n
-
+    # One sorted pass per edge set reports the malformed edges and keeps the rest.
+    through = []
     for i, j in sorted(d.through):
-        if not in_range(i, ns) or not in_range(j, nt):
+        if 1 <= i <= ns and 1 <= j <= nt:
+            through.append((i, j))
+        else:
             violations.append(Violation("index-range", f"through ({i},{j}) outside boundaries"))
-    for name, arcs, n in (("source arc", d.source_arcs, ns), ("target arc", d.target_arcs, nt)):
+    sides = []  # (side, word, well-formed arcs, the through wires' anchors on it)
+    for side, word, arcs, end in (
+        ("source", d.source, d.source_arcs, 0),
+        ("target", d.target, d.target_arcs, 1),
+    ):
+        name, n, kept = f"{side} arc", len(word), []
         for i, j in sorted(arcs):
-            if not in_range(i, n) or not in_range(j, n):
+            if not (1 <= i <= n and 1 <= j <= n):
                 violations.append(Violation("index-range", f"{name} ({i},{j}) outside 1..{n}"))
             elif i >= j:
                 violations.append(Violation("arc-order", f"{name} ({i},{j}) needs i < j"))
-
-    through = sorted(
-        (i, j) for i, j in d.through if in_range(i, ns) and in_range(j, nt)
-    )
-    src_arcs = sorted((i, j) for i, j in d.source_arcs if 1 <= i < j <= ns)
-    tgt_arcs = sorted((i, j) for i, j in d.target_arcs if 1 <= i < j <= nt)
+            else:
+                kept.append((i, j))
+        sides.append((side, word, kept, [wire[end] for wire in through]))
 
     # Degree: each boundary position in at most one edge on its side.
-    src_uses: dict[int, list[tuple[str, int, int]]] = {}
-    tgt_uses: dict[int, list[tuple[str, int, int]]] = {}
-    for i, j in through:
-        src_uses.setdefault(i, []).append(("through", i, j))
-        tgt_uses.setdefault(j, []).append(("through", i, j))
-    for i, j in src_arcs:
-        src_uses.setdefault(i, []).append(("source arc", i, j))
-        src_uses.setdefault(j, []).append(("source arc", i, j))
-    for i, j in tgt_arcs:
-        tgt_uses.setdefault(i, []).append(("target arc", i, j))
-        tgt_uses.setdefault(j, []).append(("target arc", i, j))
-    for side, uses in (("source", src_uses), ("target", tgt_uses)):
+    for side, _, arcs, anchors in sides:
+        uses: dict[int, list[tuple[str, int, int]]] = {}
+        for wire, k in zip(through, anchors):
+            uses.setdefault(k, []).append(("through", *wire))
+        for i, j in arcs:
+            uses.setdefault(i, []).append((f"{side} arc", i, j))
+            uses.setdefault(j, []).append((f"{side} arc", i, j))
         for pos in sorted(p for p, used in uses.items() if len(used) > 1):
             listed = " and ".join(f"{kind} ({i},{j})" for kind, i, j in uses[pos])
             violations.append(Violation("degree", f"{side} position {pos} in {listed}"))
@@ -218,16 +215,13 @@ def validate(d: Diagram) -> list[Violation]:
                     f"through ({i},{j}) joins {d.source[i - 1]} to {d.target[j - 1]}",
                 )
             )
-    for name, arcs, word in (
-        ("source arc", src_arcs, d.source),
-        ("target arc", tgt_arcs, d.target),
-    ):
+    for side, word, arcs, _ in sides:
         for i, j in arcs:
             if not is_complementary(word[i - 1], word[j - 1]):
                 violations.append(
                     Violation(
                         "arc-typing",
-                        f"{name} ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
+                        f"{side} arc ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
                     )
                 )
 
@@ -239,15 +233,12 @@ def validate(d: Diagram) -> list[Violation]:
                     f"through wires ({i},{j}) and ({k},{l}) cross",
                 )
             )
-    for name, arcs, anchors in (
-        ("source arc", src_arcs, [i for i, _ in through]),
-        ("target arc", tgt_arcs, [j for _, j in through]),
-    ):
+    for side, _, arcs, anchors in sides:
         violations.extend(
-            Violation("arc-wire-crossing", f"{name} ({i},{j}) spans through anchor {k}")
+            Violation("arc-wire-crossing", f"{side} arc ({i},{j}) spans through anchor {k}")
             for i, j, k in spanned_anchors(arcs, anchors)
         )
-        violations.extend(crossing_violations(arcs, "arc-arc-crossing", f"{name}s"))
+        violations.extend(crossing_violations(arcs, "arc-arc-crossing", f"{side} arcs"))
     return violations
 
 
@@ -273,14 +264,10 @@ def evaluation(word: str) -> Diagram:
 
 
 def coevaluation(word: str) -> Diagram:
-    """The cap ``empty -> dual(word) + word``; the cup reflected vertically."""
-    word = canonical_word(word)
-    n = len(word)
-    return Diagram.unchecked(
-        "",
-        reverse_complement(word) + word,
-        target_arcs=((i, 2 * n + 1 - i) for i in range(1, n + 1)),
-    )
+    """The cap ``empty -> dual(word) + word``: the cup on ``dual(word)``,
+    whose source is ``dual(word) + word``, reflected onto the target."""
+    cup = evaluation(reverse_complement(word))
+    return Diagram.unchecked("", cup.source, target_arcs=cup.source_arcs)
 
 
 def tensor(f: Diagram, g: Diagram) -> Diagram:

@@ -510,7 +510,12 @@ def load_lexicon(text: str) -> Lexicon:
     raw_types = data.get("types") or {}
     if not isinstance(raw_types, dict):
         raise LexiconError("'types' must map basic types to words")
-    assignments = {str(name): canonical_word(str(word)) for name, word in raw_types.items()}
+    assignments = {}
+    for name, word in raw_types.items():
+        try:
+            assignments[str(name)] = canonical_word(str(word))
+        except ValueError as exc:
+            raise LexiconError(f"{exc} (type {str(name)!r})") from None
 
     theta = data.get("theta", 0)
     if isinstance(theta, bool) or not isinstance(theta, int) or theta < 0:

@@ -10,6 +10,7 @@ inputs always produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import SecondaryStructure, arc_depths, brackets_of, pair_class
 from .diagram import Diagram
@@ -62,13 +63,28 @@ def _text(x: float, y: float, glyph: str) -> str:
     )
 
 
-def _arc_path(x1: float, x2: float, y: float, height: float, upward: bool, color: str) -> str:
+def _arc_paths(
+    word: str,
+    arcs: frozenset[tuple[int, int]],
+    depths: dict[tuple[int, int], int],
+    x_of: Callable[[int], float],
+    y: float,
+    upward: bool,
+    style: RenderStyle,
+) -> list[str]:
+    """One elliptical arc per pair of positions of ``word``, in sorted order,
+    standing on the row at ``y``; each is as tall as its nesting depth."""
     sweep = 1 if upward else 0
-    rx = (x2 - x1) / 2
-    return (
-        f'<path d="M {_fmt(x1)} {_fmt(y)} A {_fmt(rx)} {_fmt(height)} 0 0 {sweep} '
-        f'{_fmt(x2)} {_fmt(y)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-    )
+    paths = []
+    for i, j in sorted(arcs):
+        x1, x2 = x_of(i), x_of(j)
+        rx, height = (x2 - x1) / 2, depths[i, j] * style.arc_height
+        color = style.color_for_pair(word[i - 1], word[j - 1])
+        paths.append(
+            f'<path d="M {_fmt(x1)} {_fmt(y)} A {_fmt(rx)} {_fmt(height)} 0 0 {sweep} '
+            f'{_fmt(x2)} {_fmt(y)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+    return paths
 
 
 def _document(width: float, height: float, body: list[str]) -> str:
@@ -95,18 +111,8 @@ def render_structure_svg(structure: SecondaryStructure, style: RenderStyle = Ren
     def x_of(pos: int) -> float:
         return margin + (pos - 1) * style.spacing
 
-    body = []
-    for i, j in sorted(structure.arcs):
-        body.append(
-            _arc_path(
-                x_of(i),
-                x_of(j),
-                baseline - _FONT - _GAP,
-                depths[i, j] * style.arc_height,
-                upward=True,
-                color=style.color_for_pair(structure.word[i - 1], structure.word[j - 1]),
-            )
-        )
+    y = baseline - _FONT - _GAP
+    body = _arc_paths(structure.word, structure.arcs, depths, x_of, y, True, style)
     for pos, base in enumerate(structure.word, start=1):
         body.append(_text(x_of(pos), baseline, base))
     return _document(width, height, body)
@@ -138,32 +144,13 @@ def render_diagram_svg(d: Diagram, style: RenderStyle = RenderStyle()) -> str:
     def x_of(pos: int) -> float:
         return margin + (pos - 1) * style.spacing
 
-    body = []
-    for i, j in sorted(d.source_arcs):
-        body.append(
-            _arc_path(
-                x_of(i),
-                x_of(j),
-                y_src + _GAP,
-                src_depths[i, j] * style.arc_height,
-                upward=False,
-                color=style.color_for_pair(d.source[i - 1], d.source[j - 1]),
-            )
-        )
-    for i, j in sorted(d.target_arcs):
-        body.append(
-            _arc_path(
-                x_of(i),
-                x_of(j),
-                y_tgt - _FONT - _GAP,
-                tgt_depths[i, j] * style.arc_height,
-                upward=True,
-                color=style.color_for_pair(d.target[i - 1], d.target[j - 1]),
-            )
-        )
+    y1, y2 = y_src + _GAP, y_tgt - _FONT - _GAP
+    body = [
+        *_arc_paths(d.source, d.source_arcs, src_depths, x_of, y1, False, style),
+        *_arc_paths(d.target, d.target_arcs, tgt_depths, x_of, y2, True, style),
+    ]
     for i, j in sorted(d.through):
-        x1, y1 = x_of(i), y_src + _GAP
-        x2, y2 = x_of(j), y_tgt - _FONT - _GAP
+        x1, x2 = x_of(i), x_of(j)
         color = style.color_for_base(d.source[i - 1])
         mid = (y1 + y2) / 2
         body.append(

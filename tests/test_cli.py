@@ -142,6 +142,8 @@ class TestFolding:
         monkeypatch.setenv("DDNA_THETA", "nope")
         code, _, err = run(capsys, "count", "ACGT")
         assert code == 1 and "DDNA_THETA" in err
+        monkeypatch.setenv("DDNA_THETA", "-1")
+        assert run(capsys, "count", "ACGT") == (1, "", "ddna: DDNA_THETA must be >= 0\n")
 
     def test_fold_finds_hairpin(self, capsys):
         code, out, _ = run(capsys, "fold", "ACGTAGGGTACGT", "--theta", "3")

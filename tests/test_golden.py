@@ -4,7 +4,8 @@ Each case runs ``main()`` inside ``tests/fixtures`` (so paths in messages
 are bare file names) and compares ``(exit code, stdout, stderr)`` with
 ``tests/fixtures/golden/<name>.json``.  The transcripts pin the CLI's
 output byte for byte; regenerate them only for an intended output change,
-with ``python tests/test_golden.py``.
+with ``python tests/test_golden.py``.  Inputs that must fail to load live
+in ``tests/fixtures/broken/``, out of reach of the fixture round-trip check.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ CASES = {
     "error_no_reduction": ["parse", "Cats", "Cats", "--lexicon", "lexicon.yaml", "--goal", "s"],
     "error_missing_file": ["validate", "missing.ddna"],
     "error_bad_letters": ["revcomp", "ACGX"],
+    "validate_invalid": ["validate", "broken/invalid.ddna"],
+    "validate_malformed_dbn": ["validate", "broken/malformed.dbn"],
+    "error_invalid_diagram": ["bend", "broken/invalid.ddna"],
+    "error_malformed_ddna": ["render", "broken/malformed.ddna"],
+    "error_malformed_dbn": ["unbend", "broken/malformed.dbn", "--source-len", "1"],
+    "error_bad_lexicon": ["parse", "Cats", "--lexicon", "broken/bad_lexicon.yaml", "--goal", "n"],
+    "error_meaning_no_reduction": [
+        "meaning",
+        "Cats",
+        "Cats",
+        "--lexicon",
+        "lexicon.yaml",
+        "--goal",
+        "s",
+    ],
 }
 
 

@@ -21,6 +21,7 @@ from ddna import (
     identity,
     is_member,
     load_lexicon,
+    load_lexicon_file,
     meaning,
     parse_type,
     proof_violations,
@@ -28,7 +29,7 @@ from ddna import (
     validate,
 )
 from ddna.structures import FoldConfig
-from _oracles import fixture_text
+from _oracles import FIXTURES, fixture_text
 
 N_WORD = "AGGAACTGGAAG"
 S_WORD = "GCTAGCATCGAT"
@@ -62,6 +63,10 @@ class TestTypeSyntax:
     def test_str_roundtrip(self):
         for text in ("n", "n^r s n^l", "a^ll b^rr", "1"):
             assert str(parse_type(text)) == text
+
+    def test_empty_basic_name(self):
+        with pytest.raises(TypeSyntaxError, match="nonempty"):
+            SimpleTerm("")
 
 
 class TestFunctorObject:
@@ -111,6 +116,13 @@ class TestFunctorObject:
 
     def test_right_adjoint_of_whole_type(self):
         assert functor_object(VERB.right_adjoint(), BARE_LEXICON) == reverse_complement(
+            functor_object(VERB, BARE_LEXICON)
+        )
+
+    def test_left_adjoint_of_whole_type(self):
+        assert VERB.left_adjoint() == parse_type("n^ll s^l n")
+        assert VERB.right_adjoint().left_adjoint() == VERB
+        assert functor_object(VERB.left_adjoint(), BARE_LEXICON) == reverse_complement(
             functor_object(VERB, BARE_LEXICON)
         )
 
@@ -324,3 +336,30 @@ class TestLoadLexicon:
     def test_entry_shape(self):
         with pytest.raises(LexiconError, match="exactly"):
             load_lexicon("types: {n: AT}\nentries:\n  x: {type: n}\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("- types\n- entries\n", "lexicon must be a mapping"),
+            ("", "lexicon must be a mapping"),
+            ("types: [AT]\n", "'types' must map basic types to words"),
+            ("types: {n: AT}\nentries: [Cats]\n", "'entries' must map vocabulary words"),
+        ],
+    )
+    def test_sections_must_be_mappings(self, text, message):
+        with pytest.raises(LexiconError, match=message):
+            load_lexicon(text)
+
+    @pytest.mark.parametrize("word", ["null", "AXG"])
+    def test_bad_type_word_is_a_lexicon_error(self, word):
+        with pytest.raises(LexiconError, match="invalid letters .* \\(type 'n'\\)$"):
+            load_lexicon(f"types: {{n: {word}}}\nentries: {{}}\n")
+
+    def test_file_loader_matches_text_loader(self):
+        from_file = load_lexicon_file(str(FIXTURES / "lexicon.yaml"))
+        from_text = load_lexicon(fixture_text("lexicon.yaml"))
+        assert (from_file.assignments, from_file.entries, from_file.min_loop) == (
+            from_text.assignments,
+            from_text.entries,
+            from_text.min_loop,
+        )
