@@ -8,6 +8,11 @@ is printed as ``ddna: <message>`` with exit code 1.  ``.ddna`` paths hold
 diagrams, anything else is read as two-line dot-bracket text.  The default
 ``min_loop`` comes from ``--theta`` or the ``DDNA_THETA`` environment
 variable.
+
+Each command imports only the layer it runs: the module level needs just
+``core`` and the standard library, so ``ddna revcomp`` never loads the
+diagram, grammar, rendering or folding code, and the parser is built
+without them.
 """
 
 from __future__ import annotations
@@ -16,19 +21,17 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 from itertools import chain
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from . import diagram as dg
-from . import pregroup as pg
-from . import render as rd
-from .core import (
-    SecondaryStructure,
-    emit_dotbracket,
-    parse_dotbracket,
-    reverse_complement,
-)
-from .structures import FoldConfig, count_structures, enumerate_structures, max_bond
+from .core import SecondaryStructure, emit_dotbracket, parse_dotbracket, reverse_complement
+
+if TYPE_CHECKING:
+    from .diagram import Diagram, LoopReport
+    from .pregroup import ReductionProof
+    from .render import RenderStyle
+    from .structures import FoldConfig
 
 
 class CliError(Exception):
@@ -60,25 +63,33 @@ def _write_records(records: Iterable[str], path: str | None) -> None:
             handle.write(record)
 
 
-def _parser(path: str) -> Callable[[str], dg.Diagram | SecondaryStructure]:
-    return dg.parse_ddna if path.endswith(".ddna") else parse_dotbracket
+def _parser(path: str) -> Callable[[str], Diagram | SecondaryStructure]:
+    if path.endswith(".ddna"):
+        from .diagram import parse_ddna
+
+        return parse_ddna
+    return parse_dotbracket
 
 
 def _load(path: str, parse: Callable):
     """``parse`` the file at ``path``; a parse error becomes a :class:`CliError`
     naming the path, with an invalid diagram's violations listed below it."""
+    from .diagram import DiagramError
+
     try:
         return parse(_read(path))
-    except dg.DiagramError as exc:
+    except DiagramError as exc:
         lines = "\n".join(f"  {v}" for v in exc.violations)
         raise CliError(f"{path}: invalid diagram\n{lines}") from None
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _maybe_report(report: dg.LoopReport, wanted: bool) -> None:
+def _maybe_report(report: LoopReport, wanted: bool) -> None:
     if wanted:
-        sys.stderr.write(dg.format_report(report))
+        from .diagram import format_report
+
+        sys.stderr.write(format_report(report))
 
 
 def _cmd_revcomp(args) -> None:
@@ -87,12 +98,14 @@ def _cmd_revcomp(args) -> None:
 
 
 def _cmd_validate(args) -> None:
+    from .diagram import DiagramError
+
     parse = _parser(args.path)
 
     def check(text: str) -> None:
         try:
             parse(text)
-        except dg.DiagramError as exc:  # listed bare, then counted
+        except DiagramError as exc:  # listed bare, then counted
             sys.stderr.writelines(f"{violation}\n" for violation in exc.violations)
             raise CliError(f"{args.path}: {len(exc.violations)} violation(s)") from None
 
@@ -101,50 +114,66 @@ def _cmd_validate(args) -> None:
 
 
 def _cmd_compose(args) -> None:
-    upper, lower = (_load(path, dg.parse_ddna) for path in (args.upper, args.lower))
-    composite, report = dg.compose(upper, lower)
-    _write_records([dg.emit_ddna(composite)], args.output)
+    from .diagram import compose, emit_ddna, parse_ddna
+
+    upper, lower = (_load(path, parse_ddna) for path in (args.upper, args.lower))
+    composite, report = compose(upper, lower)
+    _write_records([emit_ddna(composite)], args.output)
     _maybe_report(report, args.report)
 
 
 def _cmd_bend(args) -> None:
-    _write_records([emit_dotbracket(dg.bend(_load(args.path, dg.parse_ddna)))], args.output)
+    from .diagram import bend, parse_ddna
+
+    _write_records([emit_dotbracket(bend(_load(args.path, parse_ddna)))], args.output)
 
 
 def _cmd_unbend(args) -> None:
+    from .diagram import emit_ddna, unbend
+
     structure = _load(args.path, parse_dotbracket)
-    _write_records([dg.emit_ddna(dg.unbend(structure, args.source_len))], args.output)
+    _write_records([emit_ddna(unbend(structure, args.source_len))], args.output)
 
 
 def _fold_config(args) -> FoldConfig:
+    from .structures import FoldConfig
+
     return FoldConfig(args.theta if args.theta is not None else _default_theta())
 
 
 def _cmd_enumerate(args) -> None:
+    from .structures import enumerate_structures
+
     structures = enumerate_structures(args.word, _fold_config(args))
     _write_records(map(emit_dotbracket, structures), args.output)
 
 
 def _cmd_count(args) -> None:
+    from .structures import count_structures
+
     _write_records([f"{count_structures(args.word, _fold_config(args))}\n"], args.output)
 
 
 def _cmd_fold(args) -> None:
+    from .structures import max_bond
+
     bonds, witnesses = max_bond(args.word, _fold_config(args))
     _write_records(chain([f"max_bonds: {bonds}\n"], map(emit_dotbracket, witnesses)), args.output)
 
 
-def _format_proof(proof: pg.ReductionProof) -> str:
+def _format_proof(proof: ReductionProof) -> str:
     links = " ".join(f"({p},{q})" for p, q in sorted(proof.links)) or "-"
     survivors = " ".join(str(s) for s in proof.survivors) or "-"
     return f"links: {links}\nsurvivors: {survivors}\n"
 
 
 def _cmd_parse(args) -> None:
-    lexicon = _load(args.lexicon, pg.load_lexicon)
-    goal = pg.parse_type(args.goal)
-    types = [entry.type for entry in pg.sentence_entries(lexicon, args.words)]
-    proofs = pg.all_reductions(types, goal)
+    from .pregroup import all_reductions, load_lexicon, parse_type, sentence_entries
+
+    lexicon = _load(args.lexicon, load_lexicon)
+    goal = parse_type(args.goal)
+    types = [entry.type for entry in sentence_entries(lexicon, args.words)]
+    proofs = all_reductions(types, goal)
     first = next(proofs, None)
     if first is None:
         raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
@@ -152,43 +181,47 @@ def _cmd_parse(args) -> None:
     _write_records(map(_format_proof, chain([first], rest)), args.output)
 
 
-_STRUCTURE_FORMATS = {
-    "dotbracket": emit_dotbracket,
-    "text": rd.render_structure_text,
-    "svg": rd.render_structure_svg,
-}
-
-
 def _cmd_meaning(args) -> None:
-    lexicon = _load(args.lexicon, pg.load_lexicon)
-    result = pg.meaning(args.words, pg.parse_type(args.goal), lexicon)
+    from .pregroup import load_lexicon, meaning, parse_type
+
+    lexicon = _load(args.lexicon, load_lexicon)
+    result = meaning(args.words, parse_type(args.goal), lexicon)
     if result is None:
         raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
     structure, report = result
-    _write_records([_STRUCTURE_FORMATS[args.format](structure)], args.output)
+    if args.format == "dotbracket":
+        text = emit_dotbracket(structure)
+    else:
+        from .render import render_structure_svg, render_structure_text
+
+        draw = render_structure_text if args.format == "text" else render_structure_svg
+        text = draw(structure)
+    _write_records([text], args.output)
     _maybe_report(report, args.report)
 
 
-def _style(args) -> rd.RenderStyle:
-    return rd.RenderStyle(
-        at_color=args.at_color,
-        cg_color=args.cg_color,
-        spacing=args.spacing,
-        arc_height=args.arc_height,
-        show_direction_arrows=args.arrows,
-    )
+def _style(args) -> RenderStyle:
+    """The style options given; each defaults to ``argparse.SUPPRESS`` and is
+    named after its field, so :class:`RenderStyle` fills in the rest."""
+    from .render import RenderStyle
+
+    given = vars(args)
+    return RenderStyle(**{f.name: given[f.name] for f in fields(RenderStyle) if f.name in given})
 
 
 def _cmd_render(args) -> None:
+    from .diagram import Diagram
+    from .render import render_diagram_svg, render_structure_svg, render_structure_text
+
     value = _load(args.path, _parser(args.path))
-    if isinstance(value, dg.Diagram):
+    if isinstance(value, Diagram):
         if args.format == "text":
             raise CliError("text rendering is for structures; use --format svg")
-        _write_records([rd.render_diagram_svg(value, _style(args))], args.output)
+        _write_records([render_diagram_svg(value, _style(args))], args.output)
     elif args.format == "text":
-        _write_records([rd.render_structure_text(value)], args.output)
+        _write_records([render_structure_text(value)], args.output)
     else:
-        _write_records([rd.render_structure_svg(value, _style(args))], args.output)
+        _write_records([render_structure_svg(value, _style(args))], args.output)
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -257,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("words", nargs="+", metavar="word")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--format", choices=list(_STRUCTURE_FORMATS), default="dotbracket")
+    p.add_argument("--format", choices=["dotbracket", "text", "svg"], default="dotbracket")
     p.add_argument("--report", action="store_true", help="print the loop report to stderr")
     _add_output(p)
     p.set_defaults(func=_cmd_meaning)
@@ -265,11 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a file as SVG or text art")
     p.add_argument("path")
     p.add_argument("--format", choices=["svg", "text"], default="svg")
-    p.add_argument("--at-color", default=rd.RenderStyle.at_color)
-    p.add_argument("--cg-color", default=rd.RenderStyle.cg_color)
-    p.add_argument("--spacing", type=float, default=rd.RenderStyle.spacing)
-    p.add_argument("--arc-height", type=float, default=rd.RenderStyle.arc_height)
-    p.add_argument("--arrows", action="store_true", help="draw 5'-to-3' direction arrows")
+    p.add_argument("--at-color", default=argparse.SUPPRESS)
+    p.add_argument("--cg-color", default=argparse.SUPPRESS)
+    p.add_argument("--spacing", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--arc-height", type=float, default=argparse.SUPPRESS)
+    p.add_argument(
+        "--arrows",
+        action="store_true",
+        dest="show_direction_arrows",
+        default=argparse.SUPPRESS,
+        help="draw 5'-to-3' direction arrows",
+    )
     _add_output(p)
     p.set_defaults(func=_cmd_render)
 

@@ -529,10 +529,15 @@ def load_lexicon(text: str) -> Lexicon:
     for word, record in raw_entries.items():
         if not isinstance(record, dict) or set(record) != {"type", "structure"}:
             raise LexiconError(f"entry {word!r} needs exactly 'type' and 'structure'")
+        for field in ("type", "structure"):
+            if not isinstance(record[field], str):
+                raise LexiconError(
+                    f"entry {word!r}: {field!r} must be a string, got {record[field]!r}"
+                )
         try:
-            entry_type = parse_type(str(record["type"]))
+            entry_type = parse_type(record["type"])
             image = functor_object(entry_type, lexicon)
-            structure = structure_from_brackets(image, str(record["structure"]).strip())
+            structure = structure_from_brackets(image, record["structure"].strip())
         except (KeyError, ValueError) as exc:
             raise LexiconError(f"entry {word!r}: {exc}") from None
         if any(j - i - 1 < theta for i, j in structure.arcs):

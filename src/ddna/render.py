@@ -49,11 +49,15 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _depths(arcs: frozenset[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    depths = arc_depths(sorted(arcs))
+def _depths(
+    arcs: frozenset[tuple[int, int]],
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """``arcs`` sorted, with the nesting depth of each."""
+    ordered = sorted(arcs)
+    depths = arc_depths(ordered)
     if depths is None:
         raise ValueError("cannot draw crossing arcs; validate the value first")
-    return depths
+    return ordered, depths
 
 
 def _text(x: float, y: float, glyph: str) -> str:
@@ -65,18 +69,19 @@ def _text(x: float, y: float, glyph: str) -> str:
 
 def _arc_paths(
     word: str,
-    arcs: frozenset[tuple[int, int]],
+    arcs: list[tuple[int, int]],
     depths: dict[tuple[int, int], int],
     x_of: Callable[[int], float],
     y: float,
     upward: bool,
     style: RenderStyle,
 ) -> list[str]:
-    """One elliptical arc per pair of positions of ``word``, in sorted order,
-    standing on the row at ``y``; each is as tall as its nesting depth."""
+    """One elliptical arc per pair of positions of ``word``, in the order of
+    the sorted ``arcs``, standing on the row at ``y``; each is as tall as its
+    nesting depth."""
     sweep = 1 if upward else 0
     paths = []
-    for i, j in sorted(arcs):
+    for i, j in arcs:
         x1, x2 = x_of(i), x_of(j)
         rx, height = (x2 - x1) / 2, depths[i, j] * style.arc_height
         color = style.color_for_pair(word[i - 1], word[j - 1])
@@ -100,7 +105,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
 def render_structure_svg(structure: SecondaryStructure, style: RenderStyle = RenderStyle()) -> str:
     """Bases on one line, pairs as colored arcs in the upper half-plane."""
     n = len(structure.word)
-    depths = _depths(structure.arcs)
+    arcs, depths = _depths(structure.arcs)
     max_depth = max(depths.values(), default=0)
     margin = style.spacing
     top = margin + max_depth * style.arc_height
@@ -112,7 +117,7 @@ def render_structure_svg(structure: SecondaryStructure, style: RenderStyle = Ren
         return margin + (pos - 1) * style.spacing
 
     y = baseline - _FONT - _GAP
-    body = _arc_paths(structure.word, structure.arcs, depths, x_of, y, True, style)
+    body = _arc_paths(structure.word, arcs, depths, x_of, y, True, style)
     for pos, base in enumerate(structure.word, start=1):
         body.append(_text(x_of(pos), baseline, base))
     return _document(width, height, body)
@@ -131,8 +136,8 @@ def _wire_arrow(x1: float, y1: float, x2: float, y2: float, base: str, color: st
 
 def render_diagram_svg(d: Diagram, style: RenderStyle = RenderStyle()) -> str:
     """Source row on top, target row below, wires and arcs between them."""
-    src_depths = _depths(d.source_arcs)
-    tgt_depths = _depths(d.target_arcs)
+    src_arcs, src_depths = _depths(d.source_arcs)
+    tgt_arcs, tgt_depths = _depths(d.target_arcs)
     levels = max(src_depths.values(), default=0) + max(tgt_depths.values(), default=0)
     margin = style.spacing
     n = max(len(d.source), len(d.target))
@@ -146,8 +151,8 @@ def render_diagram_svg(d: Diagram, style: RenderStyle = RenderStyle()) -> str:
 
     y1, y2 = y_src + _GAP, y_tgt - _FONT - _GAP
     body = [
-        *_arc_paths(d.source, d.source_arcs, src_depths, x_of, y1, False, style),
-        *_arc_paths(d.target, d.target_arcs, tgt_depths, x_of, y2, True, style),
+        *_arc_paths(d.source, src_arcs, src_depths, x_of, y1, False, style),
+        *_arc_paths(d.target, tgt_arcs, tgt_depths, x_of, y2, True, style),
     ]
     for i, j in sorted(d.through):
         x1, x2 = x_of(i), x_of(j)
@@ -174,7 +179,7 @@ def render_structure_text(structure: SecondaryStructure) -> str:
     (mod 10) and unpaired positions with dots; the bracket line parses
     back to the input structure.
     """
-    depths = _depths(structure.arcs)
+    _, depths = _depths(structure.arcs)
     sketch = ["."] * len(structure.word)
     for (i, j), depth in depths.items():
         sketch[i - 1] = sketch[j - 1] = str(depth % 10)

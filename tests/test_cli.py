@@ -373,3 +373,10 @@ class TestErrorBoundary:
         code, out, err = run(capsys, "parse", "Cats", "--lexicon", bad, "--goal", "n")
         self.assert_one_line_error(code, out, err)
         assert f"{bad}: invalid letters" in err
+
+    def test_lexicon_entry_with_null_structure(self, capsys, tmp_path):
+        bad = tmp_path / "lexicon.yaml"
+        bad.write_text("types: {n: AT}\nentries:\n  Cats: {type: n, structure: null}\n")
+        code, out, err = run(capsys, "parse", "Cats", "--lexicon", bad, "--goal", "n")
+        self.assert_one_line_error(code, out, err)
+        assert err == f"ddna: {bad}: entry 'Cats': 'structure' must be a string, got None\n"

@@ -6,6 +6,8 @@ are bare file names) and compares ``(exit code, stdout, stderr)`` with
 output byte for byte; regenerate them only for an intended output change,
 with ``python tests/test_golden.py``.  Inputs that must fail to load live
 in ``tests/fixtures/broken/``, out of reach of the fixture round-trip check.
+``golden/help.json`` pins the ``--help`` text of the parser and of every
+subcommand, wrapped at 80 columns.
 """
 
 from __future__ import annotations
@@ -21,8 +23,20 @@ from ddna.cli import build_parser, main
 from _oracles import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
+HELP_COLUMNS = 80  # argparse wraps help text to the terminal width
 
 SENTENCE = ["Cats", "chase", "mice", "--lexicon", "lexicon.yaml", "--goal", "s"]
+STYLE = [
+    "--at-color",
+    "#208020",
+    "--cg-color",
+    "purple",
+    "--spacing",
+    "30",
+    "--arc-height",
+    "12.5",
+    "--arrows",
+]
 
 CASES = {
     "revcomp": ["revcomp", "ACGTTGCA"],
@@ -50,6 +64,8 @@ CASES = {
     "render_structure_svg": ["render", "hairpin.dbn"],
     "render_structure_text": ["render", "zip_result.dbn", "--format", "text"],
     "render_diagram_svg": ["render", "rectangle.ddna", "--arrows"],
+    "render_structure_svg_style": ["render", "hairpin.dbn", *STYLE],
+    "render_diagram_svg_style": ["render", "rectangle.ddna", *STYLE],
     "error_interface_mismatch": ["compose", "stack_upper.ddna", "stack_upper.ddna"],
     "error_no_reduction": ["parse", "Cats", "Cats", "--lexicon", "lexicon.yaml", "--goal", "s"],
     "error_missing_file": ["validate", "missing.ddna"],
@@ -90,6 +106,20 @@ def test_transcript_matches_golden(name):
     assert transcript(CASES[name]) == expected
 
 
+def help_texts() -> dict[str, str]:
+    """``format_help()`` of the top-level parser and of every subparser, by name."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    texts = {name: sub.format_help() for name, sub in subparsers.choices.items()}
+    return {"ddna": parser.format_help(), **texts}
+
+
+def test_help_matches_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(HELP_COLUMNS))
+    expected = json.loads((GOLDEN / "help.json").read_text(encoding="utf-8"))
+    assert help_texts() == expected
+
+
 def test_every_subcommand_is_covered():
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     assert {argv[0] for argv in CASES.values()} == set(subparsers.choices)
@@ -100,3 +130,6 @@ if __name__ == "__main__":
     for name, argv in CASES.items():
         text = json.dumps(transcript(argv), indent=1, ensure_ascii=False) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+    os.environ["COLUMNS"] = str(HELP_COLUMNS)
+    text = json.dumps(help_texts(), indent=1, ensure_ascii=False) + "\n"
+    (GOLDEN / "help.json").write_text(text, encoding="utf-8")

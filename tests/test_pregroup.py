@@ -355,6 +355,20 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="invalid letters .* \\(type 'n'\\)$"):
             load_lexicon(f"types: {{n: {word}}}\nentries: {{}}\n")
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ("{type: null, structure: '..'}", "'type' must be a string, got None"),
+            ("{type: [n], structure: '..'}", "'type' must be a string, got ['n']"),
+            ("{type: n, structure: null}", "'structure' must be a string, got None"),
+            ("{type: n, structure: 12}", "'structure' must be a string, got 12"),
+        ],
+    )
+    def test_entry_fields_must_be_strings(self, record, message):
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(f"types: {{n: AT}}\nentries:\n  Cats: {record}\n")
+        assert str(exc.value) == f"entry 'Cats': {message}"
+
     def test_file_loader_matches_text_loader(self):
         from_file = load_lexicon_file(str(FIXTURES / "lexicon.yaml"))
         from_text = load_lexicon(fixture_text("lexicon.yaml"))
