@@ -23,6 +23,7 @@ from typing import Iterable
 ALPHABET = "ACGT"
 
 _COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
+PAIR_TYPE = {"A": "AT", "T": "AT", "C": "CG", "G": "CG"}  # a pair's type, by either letter
 _DROP_ALPHABET = str.maketrans("", "", ALPHABET)
 _DUAL = str.maketrans("ACGT", "TGCA")
 
@@ -101,7 +102,7 @@ def pair_class(a: str, b: str) -> str:
     """Classify a complementary pair as ``"AT"`` or ``"CG"``."""
     if not is_complementary(a, b):
         raise ValueError(f"{a!r}-{b!r} is not a Watson-Crick pair")
-    return "AT" if a in "AT" else "CG"
+    return PAIR_TYPE[a]
 
 
 def arc_depths(arcs: list[tuple[int, int]]) -> dict[tuple[int, int], int] | None:

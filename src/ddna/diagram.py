@@ -37,18 +37,16 @@ no interface edges.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 from .core import (
+    PAIR_TYPE,
     SecondaryStructure,
     Violation,
     canonical_word,
-    complement,
     crossing_violations,
     is_complementary,
-    pair_class,
     reverse_complement,
     spanned_anchors,
     structure_violations,
@@ -320,14 +318,14 @@ def _glue(
     down: list[_End | None],
     crossings: list[str] | None,
     emit,
-) -> Counter[str]:
+) -> dict[str, int]:
     """Trace every path through the interface.  ``emit(a, b)`` receives the
-    ``(layer, position)`` ends of each boundary-to-boundary path and returns
+    outer ends ``a < b`` of each boundary-to-boundary path and returns
     whether the composite edge it adds is a bond.  Returns the erasure
     counts, keyed by the :class:`LoopReport` field each fills."""
     seen = [False] * (m + 1)
     sides = (up, down)
-    tally: Counter[str] = Counter()
+    zipped = crossings is not None
 
     def walk(t: int, side: int, bonds: list[str]) -> _End | None:
         """Leave position ``t`` by ``sides[side]`` and follow the path,
@@ -335,7 +333,7 @@ def _glue(
         end reached, or None at a dead end or back at the start."""
         while not seen[t]:
             seen[t] = True
-            if crossings is not None:
+            if zipped:
                 bonds.append(crossings[t])
             end = sides[side][t]
             if end is None:
@@ -348,35 +346,41 @@ def _glue(
             side = 1 - side
         return None
 
-    for t in range(1, m + 1):  # paths from the outer boundaries
-        for side, start in ((1, up[t]), (0, down[t])):
+    dangled = path_bonds = absorbed = open_paths = loops = loop_bonds = loop_at = loop_cg = 0
+    # Paths from the outer boundaries: an end on the upper piece leaves by the
+    # lower one and vice versa.  Each path is traced once, from either end.
+    for side, starts in ((1, up), (0, down)):
+        for t, start in enumerate(starts):
             if start is None or start[0] == _INNER or seen[t]:
                 continue
             bonds = [start[2]] if start[2] else []
             end = walk(t, side, bonds)
             if end is None:
-                tally["dangled_endpoints"] += 1
-                tally["erased_path_bonds"] += len(bonds)
+                dangled += 1
+                path_bonds += len(bonds)
             else:
-                emitted_is_bond = emit(start[:2], end[:2])
-                tally["absorbed_bonds"] += len(bonds) - emitted_is_bond
+                absorbed += len(bonds) - (emit(start, end) if start < end else emit(end, start))
     for t in range(1, m + 1):  # open paths between two interface dead ends
         u, d = up[t], down[t]
-        if not seen[t] and not (u and d) and (u or d or crossings is not None):
+        if not seen[t] and not (u and d) and (u or d or zipped):
             bonds = []
             walk(t, 0 if u else 1, bonds)
-            tally["erased_open_paths"] += 1
-            tally["erased_path_bonds"] += len(bonds)
+            open_paths += 1
+            path_bonds += len(bonds)
     for t in range(1, m + 1):  # what is left is closed loops
         if not seen[t] and up[t]:
             bonds = []
             walk(t, 0, bonds)
-            tally["closed_loops"] += 1
+            loops += 1
             # A zipped loop alternates input arcs with interface pairings.
-            tally["closed_loop_bonds"] += len(bonds) // 2 if crossings is not None else len(bonds)
-            tally["loop_at_pairs"] += bonds.count("AT")
-            tally["loop_cg_pairs"] += bonds.count("CG")
-    return tally
+            loop_bonds += len(bonds) // 2 if zipped else len(bonds)
+            loop_at += bonds.count("AT")
+            loop_cg += bonds.count("CG")
+    return dict(
+        closed_loops=loops, erased_open_paths=open_paths, dangled_endpoints=dangled,
+        closed_loop_bonds=loop_bonds, erased_path_bonds=path_bonds, absorbed_bonds=absorbed,
+        loop_at_pairs=loop_at, loop_cg_pairs=loop_cg,
+    )
 
 
 def _attach(side: list[_End | None], i: int, j: int, pair: str) -> None:
@@ -410,22 +414,21 @@ def compose(f: Diagram, g: Diagram) -> tuple[Diagram, LoopReport]:
     for i, j in f.through:
         up[j] = (_UPPER, i, "")
     for i, j in f.target_arcs:
-        _attach(up, i, j, pair_class(mid[i - 1], mid[j - 1]))
+        _attach(up, i, j, PAIR_TYPE[mid[i - 1]])
     for i, j in g.through:
         down[i] = (_LOWER, j, "")
     for i, j in g.source_arcs:
-        _attach(down, i, j, pair_class(mid[i - 1], mid[j - 1]))
+        _attach(down, i, j, PAIR_TYPE[mid[i - 1]])
 
     through: set[tuple[int, int]] = set()
     source_arcs = set(f.source_arcs)
     target_arcs = set(g.target_arcs)
 
-    def emit(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        (la, pa), (lb, pb) = sorted((a, b))
-        if la != lb:
-            through.add((pa, pb))
+    def emit(a: _End, b: _End) -> bool:
+        if a[0] != b[0]:
+            through.add((a[1], b[1]))
             return False
-        (source_arcs if la == _UPPER else target_arcs).add((pa, pb))
+        (source_arcs if a[0] == _UPPER else target_arcs).add((a[1], b[1]))
         return True
 
     tally = _glue(m, up, down, None, emit)
@@ -514,7 +517,7 @@ def zip_and_transfer(
     down: list[_End | None] = [None] * (ny + 1)
     arcs: set[tuple[int, int]] = set()
     for i, j in fhat.arcs:
-        pair = pair_class(fhat.word[i - 1], fhat.word[j - 1])
+        pair = PAIR_TYPE[fhat.word[i - 1]]
         if j <= nx:
             arcs.add((i, j))
         elif i <= nx:
@@ -522,18 +525,19 @@ def zip_and_transfer(
         else:
             _attach(up, i - nx, j - nx, pair)
     for i, j in ghat.arcs:
-        pair = pair_class(ghat.word[i - 1], ghat.word[j - 1])
+        pair = PAIR_TYPE[ghat.word[i - 1]]
         if i > ny:
             arcs.add((nx + i - ny, nx + j - ny))
         elif j > ny:
             down[ny + 1 - i] = (_LOWER, j - ny, pair)
         else:
             _attach(down, ny + 1 - i, ny + 1 - j, pair)
-    crossings = [""] + [pair_class(c, complement(c)) for c in y]
+    crossings = [""] + [PAIR_TYPE[c] for c in y]
 
-    def emit(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        pa, pb = (p if layer == _UPPER else nx + p for layer, p in (a, b))
-        arcs.add((min(pa, pb), max(pa, pb)))
+    def emit(a: _End, b: _End) -> bool:
+        # Upper ends are fhat positions 1..nx, so a < b keeps the arc ordered.
+        (la, pa, _), (lb, pb, _) = a, b
+        arcs.add((pa if la == _UPPER else nx + pa, pb if lb == _UPPER else nx + pb))
         return True
 
     tally = _glue(ny, up, down, crossings, emit)

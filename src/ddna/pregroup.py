@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
@@ -438,15 +438,17 @@ def _reduction_diagram(
 ) -> Diagram:
     """The image of a valid proof, built unchecked: a link joins a block to
     its reverse complement, links do not cross, and no survivor lies under one."""
-    image = {t: functor_object(PregroupType((t,)), lexicon) for t in dict.fromkeys(terms)}
-    offsets = list(accumulate((len(image[t]) for t in terms), initial=0))
-    source = canonical_word("".join(image[t] for t in terms))
+    keys = [(t.basic, t.adjoint) for t in terms]  # plain tuples hash in C
+    distinct = dict(zip(keys, terms))
+    image = {k: functor_object(PregroupType((t,)), lexicon) for k, t in distinct.items()}
+    blocks = [image[k] for k in keys]
+    offsets = list(accumulate(map(len, blocks), initial=0))
+    source = canonical_word("".join(blocks))
     kept = [i for s in proof.survivors for i in range(offsets[s - 1] + 1, offsets[s] + 1)]
-    source_arcs = [
-        (i, offsets[p - 1] + offsets[q] + 1 - i)  # letter k of p pairs with len + 1 - k of q
+    source_arcs = chain.from_iterable(  # letter k of p pairs with len + 1 - k of q
+        zip(range(offsets[p - 1] + 1, offsets[p] + 1), range(offsets[q], offsets[q - 1], -1))
         for p, q in proof.links
-        for i in range(offsets[p - 1] + 1, offsets[p] + 1)
-    ]
+    )
     target = "".join(source[offsets[s - 1] : offsets[s]] for s in proof.survivors)
     return Diagram.unchecked(source, target, zip(kept, range(1, len(kept) + 1)), source_arcs)
 

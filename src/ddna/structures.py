@@ -10,8 +10,8 @@ hairpin-loop size.  ``min_loop = 0`` is the pure calculus.
 Enumeration yields each structure exactly once, lazily, in lexicographic
 order of the sorted arc list, starting with the empty structure.
 Counting and maximum bonds fill interval tables bottom-up over partner
-lists and never materialize structures; listing witnesses recurses at
-most as deep as the bond count.
+lists and never materialize structures; witnesses are listed from an
+explicit stack, so no algorithm here recurses.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ class FoldConfig:
     min_loop: int = 0
 
     def __post_init__(self) -> None:
-        if self.min_loop < 0:
-            raise ValueError(f"min_loop must be >= 0, got {self.min_loop}")
+        value = self.min_loop
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"min_loop must be a nonnegative integer, got {value!r}")
 
 
 DEFAULT = FoldConfig()
@@ -143,34 +144,51 @@ def max_bond(
             for k in partners[i]:
                 if k > j:
                     break
-                value = max(value, 1 + below[k - 1] + best[k + 1][j])
+                bonds = 1 + below[k - 1] + best[k + 1][j]
+                if bonds > value:
+                    value = bonds
             row[j] = value
 
-    witnesses_memo: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
-
-    def witnesses(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
-        # All sorted arc lists on i..j with best[i][j] arcs, in sorted order:
-        # grouped by first arc (p, k), p running over the positions that keep
-        # best[p][j] at the target.  Each call below has a smaller target, so
-        # recursion is at most as deep as the bond count.  Tuples, not sets,
-        # keep the memo small: it holds every interval's witnesses.
-        target = best[i][j]
-        if target == 0:
-            return [()]
-        if (i, j) in witnesses_memo:
-            return witnesses_memo[i, j]
-        found = []
-        p = i
+    def first_arcs(i: int, j: int) -> list[tuple[int, int]]:
+        # The arcs (p, k) that open some witness on i..j, in sorted order: p
+        # runs over the positions that keep best[p][j] at the target.
+        target, arcs, p = best[i][j], [], i
         while best[p][j] == target:
             for k in partners[p]:
                 if k > j:
                     break
                 if 1 + best[p + 1][k - 1] + best[k + 1][j] == target:
-                    for inner in witnesses(p + 1, k - 1):
-                        head = ((p, k),) + inner
-                        found.extend(head + outer for outer in witnesses(k + 1, j))
+                    arcs.append((p, k))
             p += 1
-        witnesses_memo[i, j] = found
-        return found
+        return arcs
 
-    return best[1][n], [SecondaryStructure.unchecked(word, arcs) for arcs in witnesses(1, n)]
+    # witnesses[i, j]: every sorted arc list on i..j with best[i][j] > 0 arcs,
+    # in sorted order, grouped by first arc; an interval with no bonds has only
+    # the empty list, ``empty``.  An explicit stack fills the memo in
+    # post-order, so long stems cannot overflow the recursion limit.  Tuples,
+    # not sets, keep the memo small: it holds every interval's witnesses.
+    empty = [()]
+    witnesses: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    stack = [(1, n, None)] if best[1][n] else []
+    while stack:
+        i, j, firsts = stack.pop()
+        if (i, j) in witnesses:
+            continue
+        if firsts is None:  # first visit: list the intervals this one reads
+            firsts = first_arcs(i, j)
+            stack.append((i, j, firsts))
+            for p, k in firsts:
+                for a, b in ((p + 1, k - 1), (k + 1, j)):
+                    if best[a][b] and (a, b) not in witnesses:
+                        stack.append((a, b, None))
+            continue
+        found = []
+        for p, k in firsts:
+            outers = witnesses.get((k + 1, j), empty)
+            for inner in witnesses.get((p + 1, k - 1), empty):
+                head = ((p, k),) + inner
+                found.extend(head + outer for outer in outers)
+        witnesses[i, j] = found
+
+    listed = witnesses.get((1, n), empty)
+    return best[1][n], [SecondaryStructure.unchecked(word, arcs) for arcs in listed]

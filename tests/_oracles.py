@@ -114,6 +114,26 @@ def random_structure(rng: random.Random, word: str) -> SecondaryStructure:
     return rng.choice(structures_of(word))
 
 
+def random_long_structure(rng: random.Random, word: str) -> SecondaryStructure:
+    """A random structure on a word of any length, from one left-to-right
+    pass: each position pairs with the innermost open one when the two are
+    complementary, opens, or stays unpaired, and the innermost open position
+    is sometimes abandoned unpaired.  The constructor validates it."""
+    open_positions, arcs = [], []
+    for k, letter in enumerate(word, 1):
+        if open_positions and rng.random() < 0.2:
+            open_positions.pop()
+        if (
+            open_positions
+            and is_complementary(word[open_positions[-1] - 1], letter)
+            and rng.random() < 0.8
+        ):
+            arcs.append((open_positions.pop(), k))
+        elif rng.random() < 0.6:
+            open_positions.append(k)
+    return SecondaryStructure(word, arcs)
+
+
 def random_diagram(rng: random.Random, source: str, target: str) -> Diagram:
     """A uniform-ish valid diagram source -> target, via unbending."""
     combined = reverse_complement(source) + target

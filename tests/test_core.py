@@ -13,6 +13,7 @@ from ddna import (
     reverse_complement,
     structure_from_brackets,
 )
+from ddna.core import PAIR_TYPE, pair_class
 
 words = st.text(alphabet="ACGT", max_size=12)
 
@@ -21,6 +22,11 @@ words = st.text(alphabet="ACGT", max_size=12)
 def test_complement_pairs(base, partner):
     assert complement(base) == partner
     assert complement(complement(base)) == base
+
+
+@pytest.mark.parametrize("base,partner", [("A", "T"), ("T", "A"), ("C", "G"), ("G", "C")])
+def test_pair_type_table_agrees_with_pair_class(base, partner):
+    assert PAIR_TYPE[base] == PAIR_TYPE[partner] == pair_class(base, partner)
 
 
 def test_complement_rejects_garbage():

@@ -3,6 +3,7 @@ references: every proof the search finds maps to the reference's diagram,
 which passes ``validate``, and ``tensor_all`` equals a fold over ``tensor``."""
 
 import random
+from dataclasses import asdict
 from itertools import islice
 
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from ddna import (
     AlphabetError,
     Lexicon,
+    LexiconEntry,
     LexiconError,
     ReductionProof,
     all_reductions,
     bend,
     compose,
     find_reduction,
+    functor_object,
     functor_reduction,
     identity,
     load_lexicon,
@@ -27,9 +30,11 @@ from ddna import (
     validate,
 )
 from _oracles import (
+    compose_reference,
     fixture_text,
     functor_reduction_reference,
     random_diagram,
+    random_long_structure,
     random_word,
     tensor_all_reference,
 )
@@ -118,3 +123,71 @@ def test_sentence_past_the_old_recursion_limit_means_as_the_reference_path():
     composite, report = compose(state, functor_reduction_reference(proof, types, lexicon))
     assert len(sentence) == 4003
     assert meaning(sentence, goal, lexicon) == (bend(composite), report)
+
+
+# Each category's type and two of its words, for generated sentences.
+CATEGORIES = {
+    "noun": ("n", ("cats", "mice")),
+    "intransitive": ("n^r s", ("sleep", "run")),
+    "transitive": ("n^r s n^l", ("chase", "see")),
+    "adjective": ("n n^l", ("big", "old")),
+    "relative": ("n^r n s^l n", ("who", "that")),
+    "conjunction": ("s^r s s^l", ("and", "but")),
+    "preposition": ("n^r n n^l", ("near", "of")),
+}
+
+
+def generated_sentence(rng: random.Random) -> list[str]:
+    def word(category):
+        return [rng.choice(CATEGORIES[category][1])]
+
+    def noun_phrase(depth):
+        r = rng.random()
+        if depth > 1 or r < 0.5:
+            return word("noun")
+        if r < 0.7:
+            return word("adjective") + noun_phrase(depth + 1)
+        if r < 0.85:
+            return noun_phrase(depth + 1) + word("preposition") + noun_phrase(depth + 1)
+        return noun_phrase(depth + 1) + word("relative") + verb_phrase(depth + 1)
+
+    def verb_phrase(depth):
+        if rng.random() < 0.4:
+            return word("intransitive")
+        return word("transitive") + noun_phrase(depth)
+
+    words = noun_phrase(0) + verb_phrase(0)
+    for _ in range(rng.randint(0, 3)):
+        words += word("conjunction") + noun_phrase(0) + verb_phrase(0)
+    return words
+
+
+def test_meaning_of_generated_sentences_matches_the_reference_path():
+    """20 seeded 8-25 word sentences over a lexicon of random words and random
+    entry structures: the structure and every LoopReport field equal those of
+    the reference tensor, functor image and gluing."""
+    rng = random.Random(11)
+    lexicon = Lexicon({"n": random_word(rng, 12, 12), "s": random_word(rng, 12, 12)}, {})
+    for type_text, words in CATEGORIES.values():
+        entry_type = parse_type(type_text)
+        image = functor_object(entry_type, lexicon)
+        for word in words:
+            lexicon.entries[word] = LexiconEntry(entry_type, random_long_structure(rng, image))
+    goal, checked, bonds_after = parse_type("s"), 0, 0
+    while checked < 20:
+        sentence = generated_sentence(rng)
+        entries = [lexicon.entries[word] for word in sentence]
+        types = [entry.type for entry in entries]
+        proof = find_reduction(types, goal)
+        if not 8 <= len(sentence) <= 25 or proof is None:
+            continue
+        state = tensor_all_reference(structure_as_diagram(entry.structure) for entry in entries)
+        composite, report = compose_reference(
+            state, functor_reduction_reference(proof, types, lexicon)
+        )
+        structure, got = meaning(sentence, goal, lexicon)
+        assert structure == bend(composite)
+        assert asdict(got) == asdict(report)
+        checked += 1
+        bonds_after += report.bonds_after
+    assert bonds_after > 0

@@ -5,12 +5,14 @@ the same :class:`LoopReport`, field by field, as ``compose_reference`` and
 ``zip_and_transfer_reference`` in ``_oracles``.
 """
 
-from dataclasses import asdict
+import random
+from dataclasses import asdict, fields
 
 from hypothesis import given, settings, strategies as st
 
 from ddna import (
     Diagram,
+    LoopReport,
     SecondaryStructure,
     bend,
     coevaluation,
@@ -25,6 +27,8 @@ from ddna import (
 from _oracles import (
     compose_reference,
     random_diagram,
+    random_long_structure,
+    random_word,
     structures_of,
     zip_and_transfer_reference,
 )
@@ -108,3 +112,22 @@ def test_paths_weaving_across_the_interface():
     snake_lower = tensor(evaluation(w), identity(w))
     assert compose(snake_upper, snake_lower)[0] == identity(w)
     assert_compose_matches(snake_upper, snake_lower)
+
+
+def test_interfaces_of_200_to_2000_letters_match_reference():
+    """Benchmark-scale interfaces, both routes; between them the seeded
+    cases fill every LoopReport field."""
+    filled = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        m = 200 + seed * 1800 // 11
+        x, y, z = random_word(rng, m // 4), random_word(rng, m, m), random_word(rng, m // 4)
+        fhat = random_long_structure(rng, reverse_complement(x) + y)
+        ghat = random_long_structure(rng, reverse_complement(y) + z)
+        assert_routes_match(fhat, ghat, x, y)
+        reports = (
+            compose(unbend(fhat, len(x)), unbend(ghat, len(y)))[1],
+            zip_and_transfer(fhat, ghat, y)[1],
+        )
+        filled |= {name for report in reports for name, value in asdict(report).items() if value}
+    assert filled == {f.name for f in fields(LoopReport)}

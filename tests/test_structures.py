@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from itertools import islice
 from typing import Iterator
 
@@ -37,6 +39,17 @@ def arcs_of(word, cfg):
 def test_fold_config_rejects_negative():
     with pytest.raises(ValueError):
         FoldConfig(-1)
+
+
+@pytest.mark.parametrize("min_loop", [-1, 2.5, True, False, "3", None])
+def test_fold_config_names_a_min_loop_that_is_not_a_nonnegative_int(min_loop):
+    with pytest.raises(ValueError, match=re.escape(f"got {min_loop!r}") + "$"):
+        FoldConfig(min_loop)
+
+
+@pytest.mark.parametrize("min_loop", [0, 3])
+def test_fold_config_keeps_a_nonnegative_int(min_loop):
+    assert FoldConfig(min_loop).min_loop == min_loop
 
 
 class TestEnumerate:
@@ -223,6 +236,16 @@ class TestLongWords:
         rng = random.Random(1200)
         word = "".join(rng.choice("AG") for _ in range(1200))
         assert max_bond(word, FoldConfig(3)) == (0, [SecondaryStructure(word, set())])
+
+    def test_max_bond_lists_a_stem_deeper_than_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            bonds, witnesses = max_bond("A" * 150 + "T" * 150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert bonds == 150
+        assert [w.sorted_arcs() for w in witnesses] == [tuple((i, 301 - i) for i in range(1, 151))]
 
     def test_enumeration_reaches_a_1500_arc_structure(self):
         first = list(islice(enumerate_structures("AT" * 1500), 1600))
