@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 ALPHABET = "ACGT"
@@ -215,7 +216,7 @@ class SecondaryStructure:
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", canonical_word(self.word))
         object.__setattr__(
-            self, "arcs", frozenset((int(i), int(j)) for i, j in self.arcs)
+            self, "arcs", frozenset((index(i), index(j)) for i, j in self.arcs)
         )
         violations = structure_violations(self.word, self.arcs)
         if violations:
@@ -223,12 +224,13 @@ class SecondaryStructure:
 
     @classmethod
     def unchecked(cls, word: str, arcs: Iterable[tuple[int, int]]) -> "SecondaryStructure":
-        """Build from a canonical ``word`` without validating.  A value not
-        derived from valid operands must have no :meth:`violations` before
-        an operation uses it."""
+        """Build from a canonical ``word`` and ``(i, j)`` tuples without
+        validating or copying: a frozenset of arcs is shared as it is.  A
+        value not derived from valid operands must have no :meth:`violations`
+        before an operation uses it."""
         self = object.__new__(cls)
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "arcs", frozenset(map(tuple, arcs)))
+        object.__setattr__(self, "arcs", frozenset(arcs))
         return self
 
     def violations(self) -> list[Violation]:

@@ -26,18 +26,19 @@ position leaves its boundary endpoint unmatched.  :class:`LoopReport`
 tallies everything erased so the bond bookkeeping of a composition can be
 audited.
 
-:func:`zip_and_transfer` computes the same composite in the straightened
-picture: juxtapose the two bent structures, pair the complementary
-interface segments position-by-position, and trace.  This is the
-combinatorial content of toehold-mediated strand displacement.  Both
-routes share one walk over the interface positions, where each piece
-attaches at most one edge per position; :func:`compose` is the case with
-no interface edges.
+:func:`zip_and_transfer` is composition in the straightened picture:
+juxtapose the two bent structures, pair the complementary interface
+segments position-by-position, and trace.  This is the combinatorial
+content of toehold-mediated strand displacement.  It *is*
+``bend(compose(unbend(fhat), unbend(ghat)))``: it unbends both structures
+at the interface, composes, and bends the result back, so one gluing
+routine builds every composite and its :class:`LoopReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import index
 from typing import Iterable, Union
 
 from .core import (
@@ -90,7 +91,7 @@ class Diagram:
             object.__setattr__(
                 self,
                 field,
-                frozenset((int(i), int(j)) for i, j in getattr(self, field)),
+                frozenset((index(i), index(j)) for i, j in getattr(self, field)),
             )
         violations = validate(self)
         if violations:
@@ -105,15 +106,16 @@ class Diagram:
         source_arcs: Iterable[tuple[int, int]] = (),
         target_arcs: Iterable[tuple[int, int]] = (),
     ) -> "Diagram":
-        """Build from canonical words without validating.  A value not
+        """Build from canonical words and ``(i, j)`` tuples without validating
+        or copying: a frozenset edge set is shared as it is.  A value not
         derived from valid operands must pass :func:`validate` before an
         operation uses it."""
         self = object.__new__(cls)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "through", frozenset(map(tuple, through)))
-        object.__setattr__(self, "source_arcs", frozenset(map(tuple, source_arcs)))
-        object.__setattr__(self, "target_arcs", frozenset(map(tuple, target_arcs)))
+        object.__setattr__(self, "through", frozenset(through))
+        object.__setattr__(self, "source_arcs", frozenset(source_arcs))
+        object.__setattr__(self, "target_arcs", frozenset(target_arcs))
         return self
 
 
@@ -295,37 +297,48 @@ def tensor_all(diagrams: Iterable[Diagram]) -> Diagram:
     return Diagram.unchecked(source, target, through, source_arcs, target_arcs)
 
 
-# Both composition routes glue by one walk over the interface positions
-# 1..m.  Each piece attaches at most one edge at a position: ``up[t]`` for
-# the upper (left) piece, ``down[t]`` for the lower (right) one, each the
-# edge's far end and pair type as ``(layer, position, pair_type)``.  Layer
-# ``_INNER`` is another interface position, ``_UPPER``/``_LOWER`` an outer
-# boundary; pair type ``""`` marks a through wire, which is not a bond.  A
-# path alternates between the two maps.  In zip_and_transfer each position
-# is also a complementary pairing, ``crossings[t]`` its pair type, so every
-# position lies on a path and adds a bond to it; compose is the case with no
-# interface edges (``crossings`` is None), where an untouched position lies
-# on no path.
+# One routine builds every composite and its LoopReport: compose stacks two
+# diagrams, and zip_and_transfer *is* bend(compose(unbend(fhat),
+# unbend(ghat))), glued with ``zipped`` set.
+#
+# _glue walks the interface positions 1..m.  Each piece attaches at most one
+# edge at a position: ``up[t]`` for the upper piece, ``down[t]`` for the lower
+# one, each the edge's far end and pair type as ``(layer, position,
+# pair_type)``.  Layer ``_INNER`` is another interface position,
+# ``_UPPER``/``_LOWER`` an outer boundary.  A path alternates between the two
+# maps.
+#
+# One bond rule covers the report.  Zipped, every edge is a bond, through
+# wires included (each is an arc of the straightened picture), and each
+# interface position is also a complementary pairing, ``crossings[t]`` its
+# pair type, so every position lies on a path and adds a bond to it.  Not
+# zipped, only arcs are bonds (pair type ``""`` marks a wire), and an
+# untouched position lies on no path.
 
 _INNER, _UPPER, _LOWER = 0, 1, 2
 
 _End = tuple[int, int, str]
 
 
-def _glue(
-    m: int,
-    up: list[_End | None],
-    down: list[_End | None],
-    crossings: list[str] | None,
-    emit,
-) -> dict[str, int]:
-    """Trace every path through the interface.  ``emit(a, b)`` receives the
-    outer ends ``a < b`` of each boundary-to-boundary path and returns
-    whether the composite edge it adds is a bond.  Returns the erasure
-    counts, keyed by the :class:`LoopReport` field each fills."""
+def _glue(f: Diagram, g: Diagram, zipped: bool) -> tuple[Diagram, LoopReport]:
+    """Glue ``f.target`` to ``g.source`` and trace every path through the
+    interface.  Returns the composite ``f.source -> g.target`` and its report."""
+    mid = f.target
+    m = len(mid)
+    up: list[_End | None] = [None] * (m + 1)
+    down: list[_End | None] = [None] * (m + 1)
+    for i, j in f.through:
+        up[j] = (_UPPER, i, PAIR_TYPE[mid[j - 1]] if zipped else "")
+    for i, j in g.through:
+        down[i] = (_LOWER, j, PAIR_TYPE[mid[i - 1]] if zipped else "")
+    for side, arcs in ((up, f.target_arcs), (down, g.source_arcs)):
+        for i, j in arcs:
+            pair = PAIR_TYPE[mid[i - 1]]
+            side[i] = (_INNER, j, pair)
+            side[j] = (_INNER, i, pair)
+    crossings = [""] + [PAIR_TYPE[c] for c in mid] if zipped else None
     seen = [False] * (m + 1)
     sides = (up, down)
-    zipped = crossings is not None
 
     def walk(t: int, side: int, bonds: list[str]) -> _End | None:
         """Leave position ``t`` by ``sides[side]`` and follow the path,
@@ -346,6 +359,8 @@ def _glue(
             side = 1 - side
         return None
 
+    through: set[tuple[int, int]] = set()
+    source_arcs, target_arcs = set(f.source_arcs), set(g.target_arcs)
     dangled = path_bonds = absorbed = open_paths = loops = loop_bonds = loop_at = loop_cg = 0
     # Paths from the outer boundaries: an end on the upper piece leaves by the
     # lower one and vice versa.  Each path is traced once, from either end.
@@ -358,8 +373,13 @@ def _glue(
             if end is None:
                 dangled += 1
                 path_bonds += len(bonds)
+                continue
+            (la, a, _), (lb, b, _) = (start, end) if start < end else (end, start)
+            if la != lb:
+                through.add((a, b))
             else:
-                absorbed += len(bonds) - (emit(start, end) if start < end else emit(end, start))
+                (source_arcs if la == _UPPER else target_arcs).add((a, b))
+            absorbed += len(bonds) - (zipped or la == lb)
     for t in range(1, m + 1):  # open paths between two interface dead ends
         u, d = up[t], down[t]
         if not seen[t] and not (u and d) and (u or d or zipped):
@@ -376,17 +396,19 @@ def _glue(
             loop_bonds += len(bonds) // 2 if zipped else len(bonds)
             loop_at += bonds.count("AT")
             loop_cg += bonds.count("CG")
-    return dict(
+
+    def bonds_of(d: Diagram) -> int:
+        return bond_count(d) + (len(d.through) if zipped else 0)
+
+    composite = Diagram.unchecked(f.source, g.target, through, source_arcs, target_arcs)
+    report = LoopReport(
         closed_loops=loops, erased_open_paths=open_paths, dangled_endpoints=dangled,
+        interface_bonds_formed=m if zipped else 0,
+        bonds_before=bonds_of(f) + bonds_of(g), bonds_after=bonds_of(composite),
         closed_loop_bonds=loop_bonds, erased_path_bonds=path_bonds, absorbed_bonds=absorbed,
         loop_at_pairs=loop_at, loop_cg_pairs=loop_cg,
     )
-
-
-def _attach(side: list[_End | None], i: int, j: int, pair: str) -> None:
-    """Record an arc between interface positions ``i`` and ``j``."""
-    side[i] = (_INNER, j, pair)
-    side[j] = (_INNER, i, pair)
+    return composite, report
 
 
 def bond_count(value: Union[Diagram, SecondaryStructure]) -> int:
@@ -407,36 +429,7 @@ def compose(f: Diagram, g: Diagram) -> tuple[Diagram, LoopReport]:
         raise InterfaceError(
             f"cannot glue: upper target {f.target or '-'!r} != lower source {g.source or '-'!r}"
         )
-    mid = f.target
-    m = len(mid)
-    up: list[_End | None] = [None] * (m + 1)
-    down: list[_End | None] = [None] * (m + 1)
-    for i, j in f.through:
-        up[j] = (_UPPER, i, "")
-    for i, j in f.target_arcs:
-        _attach(up, i, j, PAIR_TYPE[mid[i - 1]])
-    for i, j in g.through:
-        down[i] = (_LOWER, j, "")
-    for i, j in g.source_arcs:
-        _attach(down, i, j, PAIR_TYPE[mid[i - 1]])
-
-    through: set[tuple[int, int]] = set()
-    source_arcs = set(f.source_arcs)
-    target_arcs = set(g.target_arcs)
-
-    def emit(a: _End, b: _End) -> bool:
-        if a[0] != b[0]:
-            through.add((a[1], b[1]))
-            return False
-        (source_arcs if a[0] == _UPPER else target_arcs).add((a[1], b[1]))
-        return True
-
-    tally = _glue(m, up, down, None, emit)
-    result = Diagram.unchecked(f.source, g.target, through, source_arcs, target_arcs)
-    report = LoopReport(
-        bonds_before=bond_count(f) + bond_count(g), bonds_after=bond_count(result), **tally
-    )
-    return result, report
+    return _glue(f, g, False)
 
 
 def bend(f: Diagram) -> SecondaryStructure:
@@ -448,18 +441,9 @@ def bend(f: Diagram) -> SecondaryStructure:
     """
     n = len(f.source)
     word = reverse_complement(f.source) + f.target
-
-    def src(i: int) -> int:
-        return n + 1 - i
-
-    def tgt(j: int) -> int:
-        return n + j
-
-    arcs = (
-        {(src(i), tgt(j)) for i, j in f.through}
-        | {(src(j), src(i)) for i, j in f.source_arcs}
-        | {(tgt(i), tgt(j)) for i, j in f.target_arcs}
-    )
+    arcs = [(n + 1 - i, n + j) for i, j in f.through]
+    arcs += [(n + 1 - j, n + 1 - i) for i, j in f.source_arcs]
+    arcs += [(n + i, n + j) for i, j in f.target_arcs]
     return SecondaryStructure.unchecked(word, arcs)
 
 
@@ -473,16 +457,14 @@ def unbend(structure: SecondaryStructure, source_length: int) -> Diagram:
         )
     source = reverse_complement(structure.word[:k])
     target = structure.word[k:]
-    through = set()
-    source_arcs = set()
-    target_arcs = set()
+    through, source_arcs, target_arcs = [], [], []
     for p, q in structure.arcs:
         if q <= k:
-            source_arcs.add((k + 1 - q, k + 1 - p))
+            source_arcs.append((k + 1 - q, k + 1 - p))
         elif p > k:
-            target_arcs.add((p - k, q - k))
+            target_arcs.append((p - k, q - k))
         else:
-            through.add((k + 1 - p, q - k))
+            through.append((k + 1 - p, q - k))
     return Diagram.unchecked(source, target, through, source_arcs, target_arcs)
 
 
@@ -500,7 +482,9 @@ def zip_and_transfer(
     reverse complement.  The interface segments are zipped position ``i``
     against position ``len(interface) + 1 - i``, connectivity transfers
     through the zipped pairs, and interior leftovers are erased exactly as
-    in :func:`compose`.  Agrees with bending, composing, and unbending.
+    in :func:`compose`.  Defined as ``bend(compose(unbend(fhat),
+    unbend(ghat)))``, each unbent at the interface; the report counts every
+    edge as a bond, since each is an arc in the straightened picture.
     """
     y = canonical_word(interface)
     ny = len(y)
@@ -511,44 +495,8 @@ def zip_and_transfer(
         raise InterfaceError(
             f"right word {ghat.word!r} does not start with {reverse_complement(y)!r}"
         )
-    nz = len(ghat.word) - ny
-    # Interface position t is fhat position nx + t and ghat position ny + 1 - t.
-    up: list[_End | None] = [None] * (ny + 1)
-    down: list[_End | None] = [None] * (ny + 1)
-    arcs: set[tuple[int, int]] = set()
-    for i, j in fhat.arcs:
-        pair = PAIR_TYPE[fhat.word[i - 1]]
-        if j <= nx:
-            arcs.add((i, j))
-        elif i <= nx:
-            up[j - nx] = (_UPPER, i, pair)
-        else:
-            _attach(up, i - nx, j - nx, pair)
-    for i, j in ghat.arcs:
-        pair = PAIR_TYPE[ghat.word[i - 1]]
-        if i > ny:
-            arcs.add((nx + i - ny, nx + j - ny))
-        elif j > ny:
-            down[ny + 1 - i] = (_LOWER, j - ny, pair)
-        else:
-            _attach(down, ny + 1 - i, ny + 1 - j, pair)
-    crossings = [""] + [PAIR_TYPE[c] for c in y]
-
-    def emit(a: _End, b: _End) -> bool:
-        # Upper ends are fhat positions 1..nx, so a < b keeps the arc ordered.
-        (la, pa, _), (lb, pb, _) = a, b
-        arcs.add((pa if la == _UPPER else nx + pa, pb if lb == _UPPER else nx + pb))
-        return True
-
-    tally = _glue(ny, up, down, crossings, emit)
-    result = SecondaryStructure.unchecked(fhat.word[:nx] + ghat.word[ny:], arcs)
-    report = LoopReport(
-        interface_bonds_formed=ny,
-        bonds_before=len(fhat.arcs) + len(ghat.arcs),
-        bonds_after=len(result.arcs),
-        **tally,
-    )
-    return result, report
+    composite, report = _glue(unbend(fhat, nx), unbend(ghat, ny), True)
+    return bend(composite), report
 
 
 # --- the .ddna text format ---------------------------------------------------

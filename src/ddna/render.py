@@ -9,6 +9,7 @@ inputs always produce byte-identical documents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,7 @@ from .diagram import Diagram
 
 _FONT = 14.0
 _GAP = 5.0  # distance from a glyph anchor to the arc/wire endpoint
+_MARKUP = "<>&\"'"  # characters a color would need escaped inside an SVG attribute
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,13 @@ class RenderStyle:
     show_direction_arrows: bool = False
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0 or self.arc_height <= 0:
-            raise ValueError("spacing and arc_height must be positive")
+        # Comparisons with nan are false, so nan fails the range check too.
+        if not (0 < self.spacing < math.inf and 0 < self.arc_height < math.inf):
+            raise ValueError("spacing and arc_height must be finite and positive")
+        for name in ("at_color", "cg_color"):
+            color = getattr(self, name)
+            if any(c in color for c in _MARKUP):
+                raise ValueError(f"{name} {color!r} may not contain any of {_MARKUP}")
 
     def color_for_pair(self, a: str, b: str) -> str:
         return self.at_color if pair_class(a, b) == "AT" else self.cg_color

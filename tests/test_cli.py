@@ -327,6 +327,23 @@ class TestRender:
         assert code == 0 and "#ff0000" in out
         ET.fromstring(out)
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--spacing", "nan", "finite and positive"),
+            ("--arc-height", "inf", "finite and positive"),
+            ("--at-color", '"/><script>', "may not contain"),
+        ],
+    )
+    def test_bad_style_is_an_error_and_writes_nothing(self, capsys, tmp_path, option, value, message):
+        target = tmp_path / "out.svg"
+        code, out, err = run(
+            capsys, "render", FIXTURES / "hairpin.dbn", option, value, "-o", target
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("ddna: ") and message in err
+        assert not target.exists()
+
     def test_text_structure(self, capsys):
         code, out, _ = run(capsys, "render", FIXTURES / "hairpin.dbn", "--format", "text")
         assert code == 0 and out.splitlines()[1] == "(((((...)))))"

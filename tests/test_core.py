@@ -91,6 +91,12 @@ class TestStructureValidation:
         rules = {v.rule for v in err.value.violations}
         assert "index-range" in rules
 
+    def test_positions_must_be_integers(self):
+        with pytest.raises(TypeError):
+            SecondaryStructure("AT", {(1.9, 2)})
+        with pytest.raises(TypeError):
+            SecondaryStructure("AT", {("1", 2)})
+
     def test_unchecked_defers_validation(self):
         raw = SecondaryStructure.unchecked("ATTA", {(1, 3), (2, 4)})
         assert {v.rule for v in raw.violations()} == {"crossing"}

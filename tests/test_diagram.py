@@ -124,6 +124,16 @@ class TestConstructors:
         assert d.source == "" and d.target == "CGTACG"
         assert d.target_arcs == {(1, 6), (2, 5), (3, 4)}
 
+    def test_positions_must_be_integers(self):
+        with pytest.raises(TypeError):
+            Diagram("A", "A", {(True, 1.7)})
+        with pytest.raises(TypeError):
+            Diagram("AT", "", set(), {(1, "2")})
+
+    def test_structure_as_diagram_shares_the_arc_set(self):
+        s = SecondaryStructure("ACGT", {(1, 4), (2, 3)})
+        assert structure_as_diagram(s).target_arcs is s.arcs
+
     @given(words)
     def test_coevaluation_is_reflected_evaluation(self, w):
         cup = evaluation(reverse_complement(w))
