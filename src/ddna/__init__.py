@@ -84,10 +84,12 @@ _EXPORTS = {
     ),
     "structures": (
         "FoldConfig",
+        "count_max_bond",
         "count_structures",
         "enumerate_structures",
         "is_member",
         "max_bond",
+        "max_bond_witnesses",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

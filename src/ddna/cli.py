@@ -155,10 +155,13 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_fold(args) -> None:
-    from .structures import max_bond
+    from .structures import max_bond_witnesses
 
-    bonds, witnesses = max_bond(args.word, _fold_config(args))
-    _write_records(chain([f"max_bonds: {bonds}\n"], map(emit_dotbracket, witnesses)), args.output)
+    # Streamed, never held in a list; every witness has the maximum bond count.
+    witnesses = max_bond_witnesses(args.word, _fold_config(args))
+    first = next(witnesses)
+    header = f"max_bonds: {len(first.arcs)}\n"
+    _write_records(chain([header], map(emit_dotbracket, chain([first], witnesses))), args.output)
 
 
 def _format_proof(proof: ReductionProof) -> str:

@@ -201,23 +201,22 @@ def spanned_anchors(arcs: list[tuple[int, int]], anchors: list[int]) -> list[tup
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecondaryStructure:
     """A noncrossing Watson-Crick matching on one word.
 
     Instances are immutable, and the public constructor validates them.
     Operations trust valid operands and build their results without
-    validating again.
+    validating again.  The two fields live in slots, not an instance dict,
+    so the many witnesses of a fold stay small.
     """
 
     word: str
     arcs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word", canonical_word(self.word))
-        object.__setattr__(
-            self, "arcs", frozenset((index(i), index(j)) for i, j in self.arcs)
-        )
+        _set_word(self, canonical_word(self.word))
+        _set_arcs(self, frozenset((index(i), index(j)) for i, j in self.arcs))
         violations = structure_violations(self.word, self.arcs)
         if violations:
             raise StructureError(violations)
@@ -229,8 +228,8 @@ class SecondaryStructure:
         value not derived from valid operands must have no :meth:`violations`
         before an operation uses it."""
         self = object.__new__(cls)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "arcs", frozenset(arcs))
+        _set_word(self, word)
+        _set_arcs(self, frozenset(arcs))
         return self
 
     def violations(self) -> list[Violation]:
@@ -241,6 +240,12 @@ class SecondaryStructure:
 
     def __len__(self) -> int:
         return len(self.word)
+
+
+# The slots' own setters, which skip the frozen ``__setattr__``; ``unchecked``
+# builds every witness of a fold through them.
+_set_word = SecondaryStructure.word.__set__
+_set_arcs = SecondaryStructure.arcs.__set__
 
 
 def structure_from_brackets(word: str, brackets: str) -> SecondaryStructure:

@@ -100,6 +100,11 @@ def _arc_paths(
 
 
 def _document(width: float, height: float, body: list[str]) -> str:
+    # Finite options can still overflow: 1e308 spacing makes the width inf.
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(
+            f"drawing size {width} x {height} is not finite; spacing or arc_height is too large"
+        )
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',

@@ -10,8 +10,11 @@ hairpin-loop size.  ``min_loop = 0`` is the pure calculus.
 Enumeration yields each structure exactly once, lazily, in lexicographic
 order of the sorted arc list, starting with the empty structure.
 Counting and maximum bonds fill interval tables bottom-up over partner
-lists and never materialize structures; witnesses are listed from an
-explicit stack, so no algorithm here recurses.
+lists and never materialize structures; the maximum-bond table counts
+its witnesses in the same loop.  Witnesses are streamed: the
+sub-intervals the whole word reads keep a memo of their witnesses,
+filled from an explicit stack, and the whole word's witnesses are built
+from it one at a time and never stored.  No algorithm here recurses.
 """
 
 from __future__ import annotations
@@ -124,6 +127,57 @@ def count_structures(word: str, cfg: FoldConfig = DEFAULT) -> int:
     return counts[1][n]
 
 
+def _fill(
+    word: str, cfg: FoldConfig, counted: bool
+) -> tuple[list[list[int]], list[list[int]], list[list[int]] | None]:
+    """``partners`` of the canonical ``word``, with ``best[i][j]``, the most
+    bonds on the closed interval i..j, and, if ``counted``, ``ways[i][j]``,
+    the number of structures on i..j with that many bonds, filled in the
+    same loop (else ``None``).
+
+    ``ways`` sums the products of the branches that reach the maximum, so it
+    counts witnesses without listing them.  Listing does not need it, and
+    counting makes the loop about 40% slower, so it is filled only on request.
+    """
+    n = len(word)
+    partners = _partners(word, cfg)
+    best = [[0] * (n + 2) for _ in range(n + 2)]
+    # Empty intervals hold one structure, the empty one.
+    ways = [[1] * (n + 2) for _ in range(n + 2)] if counted else None
+    for i in range(n, 0, -1):
+        row, below = best[i], best[i + 1]
+        for j in range(i + 1, n + 1):
+            value, total = below[j], ways[i + 1][j] if counted else 0
+            for k in partners[i]:
+                if k > j:
+                    break
+                bonds = 1 + below[k - 1] + best[k + 1][j]
+                if bonds >= value:  # a new maximum restarts the count, a tie adds to it
+                    if bonds > value:
+                        value, total = bonds, 0
+                    if counted:
+                        total += ways[i + 1][k - 1] * ways[k + 1][j]
+            row[j] = value
+            if counted:
+                ways[i][j] = total
+    return partners, best, ways
+
+
+def count_max_bond(word: str, cfg: FoldConfig = DEFAULT) -> tuple[int, int]:
+    """Maximum bond count and the number of witnesses, none of them listed.
+
+    Equals ``(bonds, len(witnesses))`` for ``max_bond``, in the time of
+    filling the table, however many witnesses there are.
+
+    >>> count_max_bond("AT" * 4)
+    (4, 14)
+    """
+    word = canonical_word(word)
+    _, best, ways = _fill(word, cfg, True)
+    n = len(word)
+    return best[1][n], ways[1][n]
+
+
 def max_bond(
     word: str, cfg: FoldConfig = DEFAULT
 ) -> tuple[int, list[SecondaryStructure]]:
@@ -131,23 +185,35 @@ def max_bond(
 
     Witnesses are returned sorted by their arc lists; ties are not
     broken, since the maximal structures form a set, not a single fold.
+    Every witness has the maximum number of arcs.
+    """
+    witnesses = list(max_bond_witnesses(word, cfg))
+    return len(witnesses[0].arcs), witnesses
+
+
+def max_bond_witnesses(
+    word: str, cfg: FoldConfig = DEFAULT
+) -> Iterator[SecondaryStructure]:
+    """Yield every maximum-bond structure on ``word`` once, in the order of
+    :func:`max_bond`; there is always at least one.
+
+    The word is checked and the table filled on the call.  The witnesses of
+    the sub-intervals the whole word reads are listed before the first
+    one is yielded, and each is shared by every witness built on it; the
+    witnesses of the whole word are built one at a time and never stored.
     """
     word = canonical_word(word)
+    partners, best, _ = _fill(word, cfg, False)
+    return _witnesses(word, partners, best)
+
+
+def _witnesses(
+    word: str, partners: list[list[int]], best: list[list[int]]
+) -> Iterator[SecondaryStructure]:
     n = len(word)
-    partners = _partners(word, cfg)
-    # best[i][j]: most bonds on the closed interval i..j, filled like counts.
-    best = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(n, 0, -1):
-        row, below = best[i], best[i + 1]
-        for j in range(i + 1, n + 1):
-            value = below[j]
-            for k in partners[i]:
-                if k > j:
-                    break
-                bonds = 1 + below[k - 1] + best[k + 1][j]
-                if bonds > value:
-                    value = bonds
-            row[j] = value
+    if not best[1][n]:
+        yield SecondaryStructure.unchecked(word, ())
+        return
 
     def first_arcs(i: int, j: int) -> list[tuple[int, int]]:
         # The arcs (p, k) that open some witness on i..j, in sorted order: p
@@ -162,33 +228,43 @@ def max_bond(
             p += 1
         return arcs
 
-    # witnesses[i, j]: every sorted arc list on i..j with best[i][j] > 0 arcs,
-    # in sorted order, grouped by first arc; an interval with no bonds has only
+    def reads(firsts: list[tuple[int, int]], j: int) -> Iterator[tuple[int, int]]:
+        # The intervals with bonds inside and after each first arc on ..j.
+        for p, k in firsts:
+            for a, b in ((p + 1, k - 1), (k + 1, j)):
+                if best[a][b]:
+                    yield a, b
+
+    # memo[i, j]: every sorted arc list on i..j with best[i][j] > 0 arcs, in
+    # sorted order, grouped by first arc; an interval with no bonds has only
     # the empty list, ``empty``.  An explicit stack fills the memo in
     # post-order, so long stems cannot overflow the recursion limit.  Tuples,
-    # not sets, keep the memo small: it holds every interval's witnesses.
+    # not sets, keep the memo small: it holds every sub-interval's witnesses.
     empty = [()]
-    witnesses: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
-    stack = [(1, n, None)] if best[1][n] else []
+    memo: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    roots = first_arcs(1, n)
+    stack = [(a, b, None) for a, b in reads(roots, n)]
     while stack:
         i, j, firsts = stack.pop()
-        if (i, j) in witnesses:
+        if (i, j) in memo:
             continue
         if firsts is None:  # first visit: list the intervals this one reads
             firsts = first_arcs(i, j)
             stack.append((i, j, firsts))
-            for p, k in firsts:
-                for a, b in ((p + 1, k - 1), (k + 1, j)):
-                    if best[a][b] and (a, b) not in witnesses:
-                        stack.append((a, b, None))
+            stack.extend((a, b, None) for a, b in reads(firsts, j) if (a, b) not in memo)
             continue
         found = []
         for p, k in firsts:
-            outers = witnesses.get((k + 1, j), empty)
-            for inner in witnesses.get((p + 1, k - 1), empty):
-                head = ((p, k),) + inner
-                found.extend(head + outer for outer in outers)
-        witnesses[i, j] = found
+            outers = memo.get((k + 1, j), empty)
+            heads = [((p, k),) + inner for inner in memo.get((p + 1, k - 1), empty)]
+            found += [head + outer for head in heads for outer in outers]
+        memo[i, j] = found
 
-    listed = witnesses.get((1, n), empty)
-    return best[1][n], [SecondaryStructure.unchecked(word, arcs) for arcs in listed]
+    # The whole word's witnesses, in the same order, each built as it goes out.
+    unchecked = SecondaryStructure.unchecked
+    for p, k in roots:
+        outers = memo.get((k + 1, n), empty)
+        for inner in memo.get((p + 1, k - 1), empty):
+            head = ((p, k),) + inner
+            for outer in outers:
+                yield unchecked(word, head + outer)

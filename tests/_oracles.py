@@ -14,9 +14,11 @@ general edge-list graph, the code the shared interface walk replaced.
 ``enumerate_structures_reference``, ``count_structures_reference`` and
 ``max_bond_reference`` fold over a pair matrix with a crossing scan, a
 span-ordered table and a per-position memo recursion: the code the
-partner-index tables replaced.  ``tensor_all_reference`` and
-``functor_reduction_reference`` build the functor image word by word and
-validate it again, the code the one-pass, validate-once path replaced.
+partner-index tables replaced.  ``count_max_bond_reference`` counts
+witnesses by the same recursion, top-down, and lists none.
+``tensor_all_reference`` and ``functor_reduction_reference`` build the
+functor image word by word and validate it again, the code the one-pass,
+validate-once path replaced.
 """
 
 from __future__ import annotations
@@ -687,6 +689,35 @@ def max_bond_reference(
     top = bonds(1, n)
     # Sorted arc lists order the witnesses as sorted_arcs() would.
     return top, [SecondaryStructure.unchecked(word, arcs) for arcs in sorted(witnesses(1, n))]
+
+
+def count_max_bond_reference(word: str, cfg: FoldConfig = FoldConfig()) -> tuple[int, int]:
+    """Reference for ``count_max_bond``: the recursion of ``max_bond_reference``
+    over a top-down dict memo, counting each interval's witnesses without
+    listing any."""
+    word = canonical_word(word)
+    pairable = _pair_table_reference(word, cfg)
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def solve(i: int, j: int) -> tuple[int, int]:
+        # (most bonds, structures with that many) on i..j; too short for an arc: (0, 1)
+        if j - i + 1 <= cfg.min_loop:
+            return 0, 1
+        if (i, j) in memo:
+            return memo[i, j]
+        bonds, ways = solve(i + 1, j)
+        for k in range(i + cfg.min_loop + 1, j + 1):
+            if pairable[i][k]:
+                inner, outer = solve(i + 1, k - 1), solve(k + 1, j)
+                value = 1 + inner[0] + outer[0]
+                if value > bonds:
+                    bonds, ways = value, inner[1] * outer[1]
+                elif value == bonds:
+                    ways += inner[1] * outer[1]
+        memo[i, j] = bonds, ways
+        return bonds, ways
+
+    return solve(1, len(word))
 
 
 # --- reference grammar-to-DNA path -------------------------------------------

@@ -344,6 +344,15 @@ class TestRender:
         assert err.startswith("ddna: ") and message in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("name", ["hairpin.dbn", "rectangle.ddna"])
+    @pytest.mark.parametrize("option", ["--spacing", "--arc-height"])
+    def test_style_too_large_to_draw_is_an_error(self, capsys, tmp_path, name, option):
+        target = tmp_path / "out.svg"
+        code, out, err = run(capsys, "render", FIXTURES / name, option, "1e308", "-o", target)
+        assert code == 1 and out == ""
+        assert err.startswith("ddna: ") and "not finite" in err
+        assert not target.exists()
+
     def test_text_structure(self, capsys):
         code, out, _ = run(capsys, "render", FIXTURES / "hairpin.dbn", "--format", "text")
         assert code == 0 and out.splitlines()[1] == "(((((...)))))"

@@ -1,14 +1,18 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ddna import (
     AlphabetError,
     DotBracketError,
+    FoldConfig,
     SecondaryStructure,
     StructureError,
     canonical_word,
     complement,
     emit_dotbracket,
+    is_member,
     parse_dotbracket,
     reverse_complement,
     structure_from_brackets,
@@ -100,6 +104,35 @@ class TestStructureValidation:
     def test_unchecked_defers_validation(self):
         raw = SecondaryStructure.unchecked("ATTA", {(1, 3), (2, 4)})
         assert {v.rule for v in raw.violations()} == {"crossing"}
+
+
+class TestSlottedValue:
+    """Structures keep their fields in slots, with value semantics intact."""
+
+    def test_holds_no_instance_dict(self):
+        assert not hasattr(SecondaryStructure("AT", {(1, 2)}), "__dict__")
+
+    @pytest.mark.parametrize("field", ["word", "arcs"])
+    def test_fields_cannot_be_assigned(self, field):
+        s = SecondaryStructure("AT", {(1, 2)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, s.word)
+
+    def test_equal_structures_hash_equal(self):
+        a = SecondaryStructure("ATAT", [(1, 2), (3, 4)])
+        b = SecondaryStructure.unchecked("ATAT", frozenset({(3, 4), (1, 2)}))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SecondaryStructure("ATAT", {(1, 4)})
+
+    def test_unchecked_shares_a_frozenset_it_is_given(self):
+        arcs = frozenset({(1, 2)})
+        assert SecondaryStructure.unchecked("AT", arcs).arcs is arcs
+
+    def test_checks_run_on_an_unchecked_value(self):
+        raw = SecondaryStructure.unchecked("ATTA", frozenset({(1, 3), (2, 4)}))
+        assert [v.rule for v in raw.violations()] == ["crossing"]
+        assert not is_member(raw, FoldConfig(0))
+        assert is_member(SecondaryStructure.unchecked("AGCT", frozenset({(1, 4)})), FoldConfig(2))
 
 
 class TestDotBracket:

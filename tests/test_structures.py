@@ -1,6 +1,8 @@
 import random
 import re
 import sys
+import time
+import tracemalloc
 from itertools import islice
 from typing import Iterator
 
@@ -11,16 +13,19 @@ from ddna import (
     AlphabetError,
     FoldConfig,
     SecondaryStructure,
+    count_max_bond,
     count_structures,
     enumerate_structures,
     is_member,
     max_bond,
+    max_bond_witnesses,
     reverse_complement,
     structure_as_diagram,
     validate,
 )
 from _oracles import (
     all_structures_bruteforce,
+    count_max_bond_reference,
     count_structures_reference,
     enumerate_structures_reference,
     max_bond_reference,
@@ -181,6 +186,57 @@ class TestMaxBond:
             bonds, witnesses = max_bond(word, cfg)
             assert bonds == best
             assert witnesses == expected
+
+
+class TestWitnessCount:
+    @pytest.mark.parametrize("theta", [0, 1, 3])
+    def test_counts_the_reference_witnesses(self, theta):
+        rng = random.Random(1400 + theta)
+        cfg = FoldConfig(theta)
+        for _ in range(40):
+            word = random_word(rng, 14)
+            bonds, witnesses = max_bond_reference(word, cfg)
+            assert count_max_bond(word, cfg) == (bonds, len(witnesses)), word
+
+    def test_alternating_word(self):
+        assert count_max_bond("AT" * 12, FoldConfig(0)) == (12, 208012)
+
+    def test_counts_millions_of_witnesses_without_listing_them(self):
+        # Listing this word's witnesses takes more memory than a test host has.
+        word = random_word(random.Random(200), 200, 200)
+        start = time.perf_counter()
+        bonds, ways = count_max_bond(word, FoldConfig(3))
+        elapsed = time.perf_counter() - start
+        assert ways > 10**6
+        assert (bonds, ways) == count_max_bond_reference(word, FoldConfig(3))
+        assert elapsed < 1.0
+
+
+class TestWitnessStream:
+    @pytest.mark.parametrize("theta", [0, 1, 3])
+    def test_streams_the_listed_witnesses_in_order(self, theta):
+        rng = random.Random(1500 + theta)
+        cfg = FoldConfig(theta)
+        for _ in range(40):
+            word = random_word(rng, 14)
+            streamed = list(max_bond_witnesses(word, cfg))
+            assert streamed == max_bond(word, cfg)[1] == max_bond_reference(word, cfg)[1]
+
+    def test_checks_the_word_on_the_call(self):
+        with pytest.raises(AlphabetError):
+            max_bond_witnesses("ACGX")
+
+    def test_stores_no_more_than_the_result(self):
+        # The whole word's witnesses are built one at a time, so the peak is
+        # the returned list plus the shared sub-interval witnesses.
+        tracemalloc.start()
+        try:
+            bonds, witnesses = max_bond("AT" * 10, FoldConfig(0))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (bonds, len(witnesses)) == (10, 16796)
+        assert peak - retained < 2 * 2**20
 
 
 class TestIsMember:
