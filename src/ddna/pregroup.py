@@ -22,7 +22,7 @@ composing the lexical states with the reduction diagram.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator, Mapping, Sequence
@@ -145,13 +145,14 @@ def flatten(types: Sequence[PregroupType]) -> tuple[SimpleTerm, ...]:
     return tuple(term for t in types for term in t.terms)
 
 
-def _partner_index(terms: Sequence[tuple[str, int]]) -> list[list[int]]:
+def _partner_index(terms: Sequence[tuple[str, int]], m: int) -> list[list[int]]:
     """For each position p of the 1-based ``terms``, the ascending positions
     at odd distance from p whose term has p's basic type and one more
     adjoint; those p may link to, right of it, follow
-    ``bisect_right(partners[p], p)``.  Positions share one list per
-    ``(basic, adjoint, parity)`` bucket; each list ends in ``len(terms)``,
-    past every position."""
+    ``bisect_right(partners[p], p)``.  Positions past ``m`` (a bent goal)
+    have no partners: they only close links opened to their left.
+    Positions share one list per ``(basic, adjoint, parity)`` bucket; each
+    list ends in ``len(terms)``, past every position."""
     end = len(terms)
     buckets: dict[tuple[str, int], tuple[list[int], list[int]]] = {}  # even, odd positions
     for p, term in enumerate(terms):
@@ -167,7 +168,7 @@ def _partner_index(terms: Sequence[tuple[str, int]]) -> list[list[int]]:
         mates = buckets.get((basic, z + 1))
         if mates is not None:
             for bucket, ks in zip(pair, reversed(mates)):  # odd distance: the other parity
-                for p in bucket[:-1]:
+                for p in bucket[: bisect_right(bucket, m)]:
                     partners[p] = ks
     return partners
 
@@ -177,69 +178,63 @@ def all_reductions(
 ) -> Iterator[ReductionProof]:
     """Every contraction proof reducing ``types`` to ``goal``, canonical first.
 
+    ``types`` reduce to ``goal`` exactly when the sentence followed by the
+    bent goal -- the goal's terms in reverse order, each one adjoint up --
+    contracts completely, so the search looks only for full contractions
+    of that word.  A survivor is a sentence term linked into the bent goal.
+    Bent terms only close links, and within a span only the last one can.
+
     Proofs come out in leftmost-innermost order: at each position a link
-    with the nearest valid partner is preferred over letting the term
-    survive.  A span ``(lo, hi, g)`` -- terms lo..hi, to reduce to the
-    goal's terms from ``g`` on -- is solved once and memoised with its
-    first choice, which prunes every branch that yields no proof.  For m
-    terms and a d-term goal the memo holds O(m^2 (d+1)) entries, each
-    found by one scan of its first term's partners, so rejecting costs
-    O(m^3 (d+1)) time at worst.  The first proof follows the memo's first
-    choices; later ones backtrack to the last span with another choice,
-    and a span with exactly one proof is then spliced in as one shared
-    segment.  The search and the proof walk keep explicit stacks: nothing
-    recurses on sentence length.
+    with the nearest valid partner is preferred, so a term survives only
+    once every link within the sentence has been tried.  A span
+    ``(lo, hi)`` is solved once and memoised with its first choice, which
+    prunes every branch that yields no proof.  Spans start at a sentence
+    term, so for m terms and a d-term goal the memo holds O(m (m + d))
+    entries, each found by one scan of its first term's sentence partners:
+    rejecting costs O(m^2 (m + d)) time at worst.  The first proof follows
+    the memo's first choices; later ones backtrack to the last span with
+    another choice, and a span with exactly one proof is then spliced in
+    as one shared segment.  The search and the proof walk keep explicit
+    stacks: nothing recurses on sentence length.
     """
-    done = len(goal.terms)
-    if (sum(len(t.terms) for t in types) - done) % 2:  # links remove terms in pairs
+    if (sum(len(t.terms) for t in types) + len(goal.terms)) % 2:  # links remove terms in pairs
         return
     terms = [("", 0)] + [(t.basic, t.adjoint) for typ in types for t in typ.terms]
-    goal_terms = [(t.basic, t.adjoint) for t in goal.terms]
     m = len(terms) - 1
-    partners = _partner_index(terms)
-    # memo[span]: the span's first choice -- the partner its first term links
-    # to, or ``lo`` when that term survives -- or 0 if the span does not
-    # reduce.  Spans inside a link use ``g = done``: they contract completely.
-    memo: dict[tuple[int, int, int], int] = {}
+    terms += [(t.basic, t.adjoint + 1) for t in reversed(goal.terms)]
+    n = len(terms) - 1
+    partners = _partner_index(terms, m)
+    # memo[span]: the span's first choice -- the partner its first term
+    # links to -- or 0 if the span does not contract.
+    memo: dict[tuple[int, int], int] = {}
     get = memo.get
 
-    def solve(span: tuple[int, int, int]) -> int:
+    def solve(span: tuple[int, int]) -> int:
         """Fill ``memo[span]`` and every span it needs, depth first in the
         order of the recursive definition, from an explicit stack."""
         top, stack = span, []  # suspended spans, each followed by its cursor
-        i = bisect_right(partners[span[0]], span[0])  # cursor into partners[lo], -1: survival
+        i = bisect_right(partners[span[0]], span[0])  # cursor into partners[lo]
         while True:
-            lo, hi, g = span
+            lo, hi = span
+            ks = partners[lo]
+            k = ks[i]
             ok = 0
-            if i >= 0:
-                ks = partners[lo]
-                k = ks[i]
-                while k <= hi:
-                    ok = True
-                    if k > lo + 1:
-                        need = (lo + 1, k - 1, done)
-                        ok = get(need)
-                    if ok:
-                        if k < hi:
-                            need = (k + 1, hi, g)
-                            ok = get(need)
-                        else:
-                            ok = g == done
-                    if ok is None or ok:
-                        break
-                    i += 1
+            while k <= hi:
+                if m < k < hi:  # in the bent goal only hi can close the span
+                    i = bisect_left(ks, hi, i)
                     k = ks[i]
-                else:
-                    i = -1
-            if i < 0:
-                k = lo
-                ok = g < done and terms[lo] == goal_terms[g]
-                if ok:
-                    if lo < hi:
-                        need = (lo + 1, hi, g + 1)
-                        ok = get(need)
-                    else:
-                        ok = g + 1 == done
+                    continue
+                ok = True
+                if k > lo + 1:
+                    need = (lo + 1, k - 1)
+                    ok = get(need)
+                if ok and k < hi:
+                    need = (k + 1, hi)
+                    ok = get(need)
+                if ok is None or ok:
+                    break
+                i += 1
+                k = ks[i]
             if ok is None:  # solve ``need`` first, then resume here
                 stack += (span, i)
                 span, i = need, bisect_right(partners[need[0]], need[0])
@@ -250,50 +245,50 @@ def all_reductions(
             i = stack.pop()
             span = stack.pop()
 
-    def holds(lo: int, hi: int, g: int) -> bool:
+    def holds(lo: int, hi: int) -> bool:
         if lo > hi:
-            return g == done
-        found = get((lo, hi, g))
-        return bool(solve((lo, hi, g)) if found is None else found)
+            return True
+        found = get((lo, hi))
+        return bool(solve((lo, hi)) if found is None else found)
 
-    choices: dict[tuple[int, int, int], list[int]] = {}
+    choices: dict[tuple[int, int], list[int]] = {}
 
-    def choices_of(span: tuple[int, int, int]) -> list[int]:
+    def choices_of(span: tuple[int, int]) -> list[int]:
         """The span's choices in proof order, listed on first use: each
-        partner its first term can link to, ascending, then ``lo`` if that
-        term can survive.  The first is ``memo[span]``."""
+        partner its first term can link to, ascending.  The first is
+        ``memo[span]``."""
         found = choices.get(span)
         if found is None:
-            lo, hi, g = span
+            lo, hi = span
             ks = partners[lo]
             i = bisect_right(ks, lo)
-            found = [lo + 1] if ks[i] == lo + 1 <= hi and holds(lo + 2, hi, g) else []
-            if lo < hi:
+            found = [lo + 1] if ks[i] == lo + 1 <= hi and holds(lo + 2, hi) else []
+            last = min(hi, m)  # the last sentence term in the span
+            if ks[i] <= last:
                 # Past lo + 1, a link to k encloses lo + 1, which must link
                 # inside it: k lies beyond the first partner of lo + 1.
                 mates = partners[lo + 1]
                 floor = mates[bisect_right(mates, lo + 1)]
                 found += [
                     k
-                    for k in ks[bisect_right(ks, floor, i) : bisect_right(ks, hi, i)]
-                    if holds(lo + 1, k - 1, done) and holds(k + 1, hi, g)
+                    for k in ks[bisect_right(ks, floor, i) : bisect_right(ks, last, i)]
+                    if holds(lo + 1, k - 1) and holds(k + 1, hi)
                 ]
-            if g < done and terms[lo] == goal_terms[g] and holds(lo + 1, hi, g + 1):
-                found.append(lo)
+            # In the bent goal, only hi can close the span.
+            if hi > max(m, lo + 1) and ks[bisect_left(ks, hi, i)] == hi and holds(lo + 1, hi - 1):
+                found.append(hi)
             choices[span] = found
         return found
 
-    def parts(span: tuple[int, int, int], choice: int) -> list[tuple[int, int, int]]:
-        """The nonempty spans a choice leaves to reduce, leftmost first."""
-        lo, hi, g = span
-        if choice == lo:
-            return [(lo + 1, hi, g + 1)] if lo < hi else []
-        return [s for s in ((lo + 1, choice - 1, done), (choice + 1, hi, g)) if s[0] <= s[1]]
+    def parts(span: tuple[int, int], choice: int) -> list[tuple[int, int]]:
+        """The nonempty spans a link leaves to contract, leftmost first."""
+        lo, hi = span
+        return [s for s in ((lo + 1, choice - 1), (choice + 1, hi)) if s[0] <= s[1]]
 
-    single: dict[tuple[int, int, int], bool] = {}
-    segments: dict[tuple[int, int, int], tuple[tuple, tuple] | None] = {}
+    single: dict[tuple[int, int], bool] = {}
+    segments: dict[tuple[int, int], tuple[tuple, tuple] | None] = {}
 
-    def segment(top: tuple[int, int, int]) -> tuple[tuple, tuple] | None:
+    def segment(top: tuple[int, int]) -> tuple[tuple, tuple] | None:
         """The links and survivors of the span's only proof, shared by every
         later proof that contains it, or None if it has more than one.  A
         span has one proof when it and every span its first choice leaves
@@ -323,8 +318,8 @@ def all_reductions(
             while stack:
                 span = stack.pop()
                 c = memo[span]
-                if c == span[0]:
-                    seg_survivors.append(c)
+                if c > m:
+                    seg_survivors.append(span[0])
                 else:
                     seg_links.append((span[0], c))
                 stack.extend(reversed(parts(span, c)))
@@ -332,14 +327,14 @@ def all_reductions(
         segments[top] = found
         return found
 
-    if not holds(1, m, 0):
+    if not holds(1, n):
         return
     links: list[tuple[int, int]] = []
     survivors: list[int] = []
     # One entry per span decided: (span, index of its choice, todo after it,
     # len(links), len(survivors)) -- what backtracking restores.
     decisions: list[tuple] = []
-    todo = ((1, m, 0), None) if m else None  # spans left, leftmost first, as (span, rest)
+    todo = ((1, n), None) if n else None  # spans left, leftmost first, as (span, rest)
     i = 0  # choice for the next span: 0 is memo's, i > 0 a retry after backtracking
     later = False  # past the first proof: single-proof spans become segments
     while True:
@@ -357,17 +352,15 @@ def all_reductions(
                 c = memo[span]
             decisions.append((span, i, todo, len(links), len(survivors)))
             i = 0
-            lo, hi, g = span
-            if c == lo:
+            lo, hi = span
+            if c > m:  # a link into the bent goal: lo survives
                 survivors.append(lo)
-                if lo < hi:
-                    todo = ((lo + 1, hi, g + 1), todo)
             else:
                 links.append((lo, c))
-                if c < hi:
-                    todo = ((c + 1, hi, g), todo)
-                if c > lo + 1:
-                    todo = ((lo + 1, c - 1, done), todo)
+            if c < hi:
+                todo = ((c + 1, hi), todo)
+            if c > lo + 1:
+                todo = ((lo + 1, c - 1), todo)
         yield ReductionProof(frozenset(links), tuple(survivors))
         later = True
         while decisions:

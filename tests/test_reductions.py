@@ -75,6 +75,8 @@ def sentences(draw) -> tuple[list[PregroupType], PregroupType]:
 @example(([parse_type("a^r a")], PregroupType()))
 @example(([], parse_type("a")))
 @example(([], PregroupType()))
+@example(([], parse_type("a^r a")))
+@example(([parse_type("a a^r")], parse_type("a^r a")))
 def test_proofs_match_the_reference_search(case):
     types, goal = case
     proofs = list(all_reductions(types, goal))
@@ -135,6 +137,16 @@ def test_long_chains_reduce_without_recursion(pairs):
     proof = ReductionProof(frozenset((2 * i - 1, 2 * i) for i in range(1, pairs + 1)), ())
     assert find_reduction(types, PregroupType()) == proof
     assert list(islice(all_reductions(types, PregroupType()), 2)) == [proof]
+
+
+def test_long_goals_reduce():
+    # A goal that survives whole, and a goal split around a long contraction:
+    # the search must not scan the goal's terms once per span.
+    word = parse_type(" ".join(["a"] * 3000))
+    assert list(all_reductions([word], word)) == [ReductionProof(frozenset(), tuple(range(1, 3001)))]
+    types = [parse_type("s")] + [parse_type("a a^r")] * 1500 + [parse_type("s")]
+    proof = ReductionProof(frozenset((2 * i, 2 * i + 1) for i in range(1, 1501)), (1, 3002))
+    assert list(all_reductions(types, parse_type("s s"))) == [proof]
 
 
 NOUN, ADJ, PREP, VERB, REL, CONJ = (
