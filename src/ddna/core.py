@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Mapping
 
 ALPHABET = "ACGT"
 
@@ -199,6 +199,123 @@ def spanned_anchors(arcs: list[tuple[int, int]], anchors: list[int]) -> list[tup
         for i, j in arcs
         for x in sorted(order[bisect_right(keys, i) : bisect_left(keys, j)])
     ]
+
+
+SHARED = 16  # a span with at most this many matchings is listed once and shared
+
+
+def matchings(
+    root: tuple[int, int],
+    first: Mapping[tuple[int, int], tuple[int, int] | None],
+    choices: Callable[[tuple[int, int]], list[tuple[int, int]]],
+) -> Iterator[list[tuple[int, int]]]:
+    """Yield the noncrossing matchings of the closed span ``root``, ``(lo,
+    hi)``, one list of sorted arcs reused between yields, in sorted order.
+
+    An interval table describes them.  An arc ``(p, k)`` of a span ``(lo,
+    hi)`` leaves ``lo..p-1`` unmatched and the spans ``(p+1, k-1)`` inside
+    it and ``(k+1, hi)`` after it to match.  ``first[span]`` is the span's
+    first arc, or falsy when its only matching is empty; ``choices(span)``
+    lists every arc that opens one of its matchings, ascending.  The first
+    matching follows ``first`` alone.  Later ones backtrack to the last
+    span with another choice, and a span with at most :data:`SHARED`
+    matchings is then listed once, from an explicit stack, and taken
+    whole: one with a single matching costs no decision.  Nothing recurses.
+    """
+    arcs: list = []
+    # One entry per span decided: (span, index of its option, its options --
+    # None until backtracking needs them --, whether they are whole
+    # matchings, the spans left after it, len(arcs)): what backtracking restores.
+    decisions: list = []
+    todo = (root, None) if root[0] <= root[1] else None  # spans left, as (span, rest)
+    while todo is not None:  # the first matching follows ``first`` alone
+        span, todo = todo
+        arc = first[span]
+        if arc:
+            decisions.append((span, 0, None, False, todo, len(arcs)))
+            arcs.append(arc)
+            p, k = arc
+            if k < span[1]:
+                todo = ((k + 1, span[1]), todo)
+            if k > p + 1:
+                todo = ((p + 1, k - 1), todo)
+    yield arcs
+    # Spans met after the first matching are listed on first use: span ->
+    # (True, its matchings as arc tuples), or past SHARED (False, its choices).
+    lists: dict = {}
+    empty = (True, [()])
+
+    def listed(top: tuple[int, int]) -> tuple[bool, list]:
+        stack = [(top, None)]
+        while stack:
+            span, options = stack.pop()
+            if span in lists:
+                continue
+            hi = span[1]
+            if options is None:  # first visit: list its parts first
+                if not first[span]:
+                    lists[span] = empty
+                    continue
+                options = choices(span)
+                stack.append((span, options))
+                for p, k in options:
+                    if k > p + 1:
+                        stack.append(((p + 1, k - 1), None))
+                    if k < hi:
+                        stack.append(((k + 1, hi), None))
+                continue
+            found = []
+            for arc in options:
+                p, k = arc  # each nonempty part is listed by now
+                shared, inners = lists.get((p + 1, k - 1), empty)
+                also, outers = lists.get((k + 1, hi), empty)
+                if not (shared and also) or len(found) + len(inners) * len(outers) > SHARED:
+                    lists[span] = (False, options)
+                    break
+                found += [(arc,) + inner + outer for inner in inners for outer in outers]
+            else:
+                lists[span] = (True, found)
+        return lists[top]
+
+    while True:
+        while decisions:
+            span, i, options, whole, todo, size = decisions.pop()
+            if options is None:
+                options = choices(span)
+            if i + 1 < len(options):
+                break
+        else:
+            return
+        del arcs[size:]
+        todo = (span, todo)
+        i += 1
+        while todo is not None:
+            span, todo = todo
+            if not i:
+                whole, options = lists.get(span) or listed(span)
+            if whole:
+                if todo is None:  # the last span varies fastest
+                    size = len(arcs)
+                    for entry in options:
+                        arcs[size:] = entry
+                        yield arcs
+                    break
+                if len(options) > 1:
+                    decisions.append((span, i, options, True, todo, len(arcs)))
+                arcs += options[i]
+                i = 0
+                continue
+            arc = options[i]
+            decisions.append((span, i, options, False, todo, len(arcs)))
+            i = 0
+            arcs.append(arc)
+            p, k = arc
+            if k < span[1]:
+                todo = ((k + 1, span[1]), todo)
+            if k > p + 1:
+                todo = ((p + 1, k - 1), todo)
+        else:
+            yield arcs
 
 
 @dataclass(frozen=True, slots=True)

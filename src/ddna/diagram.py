@@ -529,11 +529,10 @@ def parse_ddna(text: str) -> Diagram:
         parts = line.split()
         if len(parts) != 3 or parts[0] not in edges:
             raise DdnaFormatError(f"line {lineno}: expected 'T|S|A i j', got {raw!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise DdnaFormatError(f"line {lineno}: non-integer index in {raw!r}") from None
-        edges[parts[0]].append((i, j))
+        # An optional "-" and ASCII digits only: int() would also take "1_0", "+1" or "١".
+        if not all(x.isascii() and x.removeprefix("-").isdigit() for x in parts[1:]):
+            raise DdnaFormatError(f"line {lineno}: non-integer index in {raw!r}")
+        edges[parts[0]].append((int(parts[1]), int(parts[2])))
     if len(words) < 2:
         raise DdnaFormatError("expected a source line and a target line")
     return Diagram(words[0], words[1], edges["T"], edges["S"], edges["A"])

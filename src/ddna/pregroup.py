@@ -32,6 +32,7 @@ from .core import (
     Violation,
     canonical_word,
     crossing_violations,
+    matchings,
     reverse_complement,
     spanned_anchors,
     structure_from_brackets,
@@ -191,11 +192,11 @@ def all_reductions(
     prunes every branch that yields no proof.  Spans start at a sentence
     term, so for m terms and a d-term goal the memo holds O(m (m + d))
     entries, each found by one scan of its first term's sentence partners:
-    rejecting costs O(m^2 (m + d)) time at worst.  The first proof follows
-    the memo's first choices; later ones backtrack to the last span with
-    another choice, and a span with exactly one proof is then spliced in
-    as one shared segment.  The search and the proof walk keep explicit
-    stacks: nothing recurses on sentence length.
+    rejecting costs O(m^2 (m + d)) time at worst.  The proofs are the full
+    contractions :func:`ddna.core.matchings` lists over the memo, each split
+    into its links within the sentence and its survivors; the first proof
+    follows the memo's first choices.  The search and the walk keep
+    explicit stacks: nothing recurses on sentence length.
     """
     if (sum(len(t.terms) for t in types) + len(goal.terms)) % 2:  # links remove terms in pairs
         return
@@ -204,12 +205,12 @@ def all_reductions(
     terms += [(t.basic, t.adjoint + 1) for t in reversed(goal.terms)]
     n = len(terms) - 1
     partners = _partner_index(terms, m)
-    # memo[span]: the span's first choice -- the partner its first term
-    # links to -- or 0 if the span does not contract.
-    memo: dict[tuple[int, int], int] = {}
+    # memo[span]: the span's first choice -- the link from its first term
+    # -- or 0 if the span does not contract.
+    memo: dict[tuple[int, int], tuple[int, int] | int] = {}
     get = memo.get
 
-    def solve(span: tuple[int, int]) -> int:
+    def solve(span: tuple[int, int]) -> tuple[int, int] | int:
         """Fill ``memo[span]`` and every span it needs, depth first in the
         order of the recursive definition, from an explicit stack."""
         top, stack = span, []  # suspended spans, each followed by its cursor
@@ -239,7 +240,7 @@ def all_reductions(
                 stack += (span, i)
                 span, i = need, bisect_right(partners[need[0]], need[0])
                 continue
-            memo[span] = k if ok else 0
+            memo[span] = (lo, k) if ok else 0
             if not stack:
                 return memo[top]
             i = stack.pop()
@@ -251,127 +252,35 @@ def all_reductions(
         found = get((lo, hi))
         return bool(solve((lo, hi)) if found is None else found)
 
-    choices: dict[tuple[int, int], list[int]] = {}
-
-    def choices_of(span: tuple[int, int]) -> list[int]:
-        """The span's choices in proof order, listed on first use: each
-        partner its first term can link to, ascending.  The first is
-        ``memo[span]``."""
-        found = choices.get(span)
-        if found is None:
-            lo, hi = span
-            ks = partners[lo]
-            i = bisect_right(ks, lo)
-            found = [lo + 1] if ks[i] == lo + 1 <= hi and holds(lo + 2, hi) else []
-            last = min(hi, m)  # the last sentence term in the span
-            if ks[i] <= last:
-                # Past lo + 1, a link to k encloses lo + 1, which must link
-                # inside it: k lies beyond the first partner of lo + 1.
-                mates = partners[lo + 1]
-                floor = mates[bisect_right(mates, lo + 1)]
-                found += [
-                    k
-                    for k in ks[bisect_right(ks, floor, i) : bisect_right(ks, last, i)]
-                    if holds(lo + 1, k - 1) and holds(k + 1, hi)
-                ]
-            # In the bent goal, only hi can close the span.
-            if hi > max(m, lo + 1) and ks[bisect_left(ks, hi, i)] == hi and holds(lo + 1, hi - 1):
-                found.append(hi)
-            choices[span] = found
-        return found
-
-    def parts(span: tuple[int, int], choice: int) -> list[tuple[int, int]]:
-        """The nonempty spans a link leaves to contract, leftmost first."""
+    def choices_of(span: tuple[int, int]) -> list[tuple[int, int]]:
+        """The span's choices in proof order: each link its first term can
+        make, by ascending partner.  The first is ``memo[span]``."""
         lo, hi = span
-        return [s for s in ((lo + 1, choice - 1), (choice + 1, hi)) if s[0] <= s[1]]
-
-    single: dict[tuple[int, int], bool] = {}
-    segments: dict[tuple[int, int], tuple[tuple, tuple] | None] = {}
-
-    def segment(top: tuple[int, int]) -> tuple[tuple, tuple] | None:
-        """The links and survivors of the span's only proof, shared by every
-        later proof that contains it, or None if it has more than one.  A
-        span has one proof when it and every span its first choice leaves
-        have one choice each: settled in post-order, each span once."""
-        if top in segments:
-            return segments[top]
-        stack = [top]
-        while stack:
-            span = stack[-1]
-            if span in single:
-                stack.pop()
-                continue
-            ch = choices_of(span)
-            kids = parts(span, ch[0]) if len(ch) == 1 else []
-            flags = [single.get(s) for s in kids]
-            if len(ch) > 1 or False in flags:
-                single[span] = False
-            elif None in flags:
-                stack.extend(s for s, flag in zip(kids, flags) if flag is None)
-                continue
-            else:
-                single[span] = True
-            stack.pop()
-        found = None
-        if single[top]:
-            seg_links, seg_survivors, stack = [], [], [top]
-            while stack:
-                span = stack.pop()
-                c = memo[span]
-                if c > m:
-                    seg_survivors.append(span[0])
-                else:
-                    seg_links.append((span[0], c))
-                stack.extend(reversed(parts(span, c)))
-            found = (tuple(seg_links), tuple(seg_survivors))
-        segments[top] = found
+        ks = partners[lo]
+        i = bisect_right(ks, lo)
+        found = [(lo, lo + 1)] if ks[i] == lo + 1 <= hi and holds(lo + 2, hi) else []
+        last = min(hi, m)  # the last sentence term in the span
+        if ks[i] <= last:
+            # Past lo + 1, a link to k encloses lo + 1, which must link
+            # inside it: k lies beyond the first partner of lo + 1.
+            mates = partners[lo + 1]
+            floor = mates[bisect_right(mates, lo + 1)]
+            found += [
+                (lo, k)
+                for k in ks[bisect_right(ks, floor, i) : bisect_right(ks, last, i)]
+                if holds(lo + 1, k - 1) and holds(k + 1, hi)
+            ]
+        # In the bent goal, only hi can close the span.
+        if hi > max(m, lo + 1) and ks[bisect_left(ks, hi, i)] == hi and holds(lo + 1, hi - 1):
+            found.append((lo, hi))
         return found
 
     if not holds(1, n):
         return
-    links: list[tuple[int, int]] = []
-    survivors: list[int] = []
-    # One entry per span decided: (span, index of its choice, todo after it,
-    # len(links), len(survivors)) -- what backtracking restores.
-    decisions: list[tuple] = []
-    todo = ((1, n), None) if n else None  # spans left, leftmost first, as (span, rest)
-    i = 0  # choice for the next span: 0 is memo's, i > 0 a retry after backtracking
-    later = False  # past the first proof: single-proof spans become segments
-    while True:
-        while todo is not None:
-            span, todo = todo
-            if i:
-                c = choices[span][i]
-            else:
-                if later:
-                    seg = segment(span)
-                    if seg is not None:
-                        links += seg[0]
-                        survivors += seg[1]
-                        continue
-                c = memo[span]
-            decisions.append((span, i, todo, len(links), len(survivors)))
-            i = 0
-            lo, hi = span
-            if c > m:  # a link into the bent goal: lo survives
-                survivors.append(lo)
-            else:
-                links.append((lo, c))
-            if c < hi:
-                todo = ((c + 1, hi), todo)
-            if c > lo + 1:
-                todo = ((lo + 1, c - 1), todo)
-        yield ReductionProof(frozenset(links), tuple(survivors))
-        later = True
-        while decisions:
-            span, i, todo, n_links, n_survivors = decisions.pop()
-            if i + 1 < len(choices_of(span)):
-                break
-        else:
-            return
-        del links[n_links:], survivors[n_survivors:]
-        todo = (span, todo)
-        i += 1
+    for arcs in matchings((1, n), memo, choices_of):
+        yield ReductionProof(
+            frozenset([arc for arc in arcs if arc[1] <= m]), tuple([p for p, k in arcs if k > m])
+        )
 
 
 def find_reduction(

@@ -11,19 +11,21 @@ Enumeration yields each structure exactly once, lazily, in lexicographic
 order of the sorted arc list, starting with the empty structure.
 Counting and maximum bonds fill interval tables bottom-up over partner
 lists and never materialize structures; the maximum-bond table counts
-its witnesses in the same loop.  Witnesses are streamed: the
-sub-intervals the whole word reads keep a memo of their witnesses,
-filled from an explicit stack, and the whole word's witnesses are built
-from it one at a time and never stored.  No algorithm here recurses.
+its witnesses in the same loop.  Witnesses are streamed off the table by
+the walk the grammar's proofs also use, :func:`ddna.core.matchings`: the
+first is yielded once the table is filled, only intervals with a few
+witnesses keep them, and none of the whole word's is stored.  No
+algorithm here recurses.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
-from .core import ALPHABET, SecondaryStructure, canonical_word, complement
+from .core import ALPHABET, SecondaryStructure, canonical_word, complement, matchings
 
 
 @dataclass(frozen=True)
@@ -197,27 +199,19 @@ def max_bond_witnesses(
     """Yield every maximum-bond structure on ``word`` once, in the order of
     :func:`max_bond`; there is always at least one.
 
-    The word is checked and the table filled on the call.  The witnesses of
-    the sub-intervals the whole word reads are listed before the first
-    one is yielded, and each is shared by every witness built on it; the
-    witnesses of the whole word are built one at a time and never stored.
+    The word is checked and the table filled on the call.  The witnesses
+    are the matchings :func:`ddna.core.matchings` lists over ``best``: the
+    first follows each interval's first co-optimal arc, and later ones
+    share the intervals with few witnesses.  Each is built as it goes out
+    and never stored.
     """
     word = canonical_word(word)
     partners, best, _ = _fill(word, cfg, False)
-    return _witnesses(word, partners, best)
 
-
-def _witnesses(
-    word: str, partners: list[list[int]], best: list[list[int]]
-) -> Iterator[SecondaryStructure]:
-    n = len(word)
-    if not best[1][n]:
-        yield SecondaryStructure.unchecked(word, ())
-        return
-
-    def first_arcs(i: int, j: int) -> list[tuple[int, int]]:
+    def choices(span: tuple[int, int]) -> list[tuple[int, int]]:
         # The arcs (p, k) that open some witness on i..j, in sorted order: p
         # runs over the positions that keep best[p][j] at the target.
+        i, j = span
         target, arcs, p = best[i][j], [], i
         while best[p][j] == target:
             for k in partners[p]:
@@ -228,43 +222,17 @@ def _witnesses(
             p += 1
         return arcs
 
-    def reads(firsts: list[tuple[int, int]], j: int) -> Iterator[tuple[int, int]]:
-        # The intervals with bonds inside and after each first arc on ..j.
-        for p, k in firsts:
-            for a, b in ((p + 1, k - 1), (k + 1, j)):
-                if best[a][b]:
-                    yield a, b
+    arcs = matchings((1, len(word)), _FirstArcs(best, choices), choices)
+    return map(SecondaryStructure.unchecked, repeat(word), arcs)
 
-    # memo[i, j]: every sorted arc list on i..j with best[i][j] > 0 arcs, in
-    # sorted order, grouped by first arc; an interval with no bonds has only
-    # the empty list, ``empty``.  An explicit stack fills the memo in
-    # post-order, so long stems cannot overflow the recursion limit.  Tuples,
-    # not sets, keep the memo small: it holds every sub-interval's witnesses.
-    empty = [()]
-    memo: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
-    roots = first_arcs(1, n)
-    stack = [(a, b, None) for a, b in reads(roots, n)]
-    while stack:
-        i, j, firsts = stack.pop()
-        if (i, j) in memo:
-            continue
-        if firsts is None:  # first visit: list the intervals this one reads
-            firsts = first_arcs(i, j)
-            stack.append((i, j, firsts))
-            stack.extend((a, b, None) for a, b in reads(firsts, j) if (a, b) not in memo)
-            continue
-        found = []
-        for p, k in firsts:
-            outers = memo.get((k + 1, j), empty)
-            heads = [((p, k),) + inner for inner in memo.get((p + 1, k - 1), empty)]
-            found += [head + outer for head in heads for outer in outers]
-        memo[i, j] = found
 
-    # The whole word's witnesses, in the same order, each built as it goes out.
-    unchecked = SecondaryStructure.unchecked
-    for p, k in roots:
-        outers = memo.get((k + 1, n), empty)
-        for inner in memo.get((p + 1, k - 1), empty):
-            head = ((p, k),) + inner
-            for outer in outers:
-                yield unchecked(word, head + outer)
+class _FirstArcs(dict):
+    """``span -> its first co-optimal arc``, or None on an interval with no
+    bonds, read off ``choices`` and not stored: the walk asks at most twice."""
+
+    def __init__(self, best: list[list[int]], choices) -> None:
+        self.best, self.choices = best, choices
+
+    def __missing__(self, span: tuple[int, int]) -> tuple[int, int] | None:
+        i, j = span
+        return self.choices(span)[0] if self.best[i][j] else None

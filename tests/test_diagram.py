@@ -401,6 +401,20 @@ class TestDdnaFormat:
         with pytest.raises(DdnaFormatError):
             parse_ddna("ACG\nACG\nT one 1\n")
 
+    @pytest.mark.parametrize(
+        "line", ["T 1_0 1", "T +1 1", "T 1 ١", "T 1 ²", "T -+1 1", "T - 1", "T 1 0x1"]
+    )
+    def test_indices_are_ascii_digits(self, line):
+        from ddna import DdnaFormatError
+
+        with pytest.raises(DdnaFormatError, match="line 3: non-integer index"):
+            parse_ddna(f"ACGTACGTAC\nACGTACGTAC\n{line}\n")
+
+    def test_negative_and_zero_padded_indices_reach_validation(self):
+        with pytest.raises(DiagramError) as err:
+            parse_ddna("ACG\nACG\nT -1 1\nT 02 02\nT 3 3\n")
+        assert [v.rule for v in err.value.violations] == ["index-range"]
+
 
 def test_compose_report_is_deterministic_under_seeds():
     rng = random.Random(7)

@@ -203,6 +203,8 @@ def attachment_sentences(draw) -> tuple[list[PregroupType], PregroupType]:
 @given(attachment_sentences())
 @example(([NOUN, VERB, NOUN, PREP, NOUN, PREP, NOUN], parse_type("s")))
 @example(([NOUN, VERB, NOUN, CONJ, NOUN, REL, VERB, NOUN, PREP, NOUN, VERB, NOUN], parse_type("s")))
+@example(([NOUN, VERB, NOUN] + [PREP, NOUN] * 5, parse_type("s")))
+@example(([NOUN, VERB, NOUN] + [PREP, NOUN] * 6, parse_type("s")))
 def test_attachment_proofs_match_the_reference_search(case):
     types, goal = case
     proofs = list(all_reductions(types, goal))

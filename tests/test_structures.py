@@ -238,6 +238,24 @@ class TestWitnessStream:
         assert (bonds, len(witnesses)) == (10, 16796)
         assert peak - retained < 2 * 2**20
 
+    def test_first_witnesses_of_a_word_with_millions_come_without_listing_them(self):
+        # Listing every interval's witnesses before the first one took 2.09 GB here.
+        rng = random.Random(1)
+        word = "".join(rng.choice("ACGT") for _ in range(140))
+        cfg = FoldConfig(3)
+        assert count_max_bond(word, cfg) == (49, 5017108)
+        tracemalloc.start()
+        try:
+            first = list(islice(max_bond_witnesses(word, cfg), 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(first) == 1000
+        assert all(is_member(w, cfg) and len(w.arcs) == 49 for w in first)
+        keys = [w.sorted_arcs() for w in first]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
 
 class TestIsMember:
     def test_hairpin_at_theta_three(self):
@@ -266,6 +284,7 @@ def fold_outputs(word, theta, count, enumerate_, max_bond_):
 @given(st.text("ACGT", max_size=16), st.sampled_from([0, 1, 3]))
 @example("AT" * 10, 0)
 @example("ACGT" * 8, 0)
+@example("AT" * 5, 0)
 def test_partner_tables_match_the_pair_matrix_reference(word, theta):
     """Counts, the first 3,000 structures in order, and the maximum bond
     count with its witnesses in order all equal the reference's."""
@@ -302,6 +321,20 @@ class TestLongWords:
             sys.setrecursionlimit(limit)
         assert bonds == 150
         assert [w.sorted_arcs() for w in witnesses] == [tuple((i, 301 - i) for i in range(1, 151))]
+
+    def test_max_bond_shares_the_witnesses_of_a_stem_deeper_than_the_recursion_limit(self):
+        # One T stays unpaired; every later witness lists and shares intervals.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            bonds, witnesses = max_bond("A" * 150 + "T" * 151)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert bonds == 150
+        assert [w.sorted_arcs() for w in witnesses] == [
+            tuple((i, 302 - i - (302 - i <= free)) for i in range(1, 151))
+            for free in range(301, 150, -1)
+        ]
 
     def test_enumeration_reaches_a_1500_arc_structure(self):
         first = list(islice(enumerate_structures("AT" * 1500), 1600))
