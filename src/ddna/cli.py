@@ -38,11 +38,19 @@ class CliError(Exception):
     """Fatal command error; the message goes to stderr, exit code 1."""
 
 
+def _integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits, the rule ``parse_ddna`` reads
+    indices by; ``int()`` alone would also take ``1_0``, ``+3`` or ``٣``."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _default_theta() -> int:
     raw = os.environ.get("DDNA_THETA", "0")
     try:
-        value = int(raw)
-    except ValueError:
+        value = _integer(raw)
+    except argparse.ArgumentTypeError:
         raise CliError(f"DDNA_THETA must be an integer, got {raw!r}") from None
     if value < 0:
         raise CliError("DDNA_THETA must be >= 0")
@@ -261,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unbend", help="fold a structure back into a diagram")
     p.add_argument("path")
-    p.add_argument("--source-len", type=int, required=True, help="length of the dualized prefix")
+    p.add_argument(
+        "--source-len", type=_integer, required=True, help="length of the dualized prefix"
+    )
     _add_output(p)
     p.set_defaults(func=_cmd_unbend)
 
@@ -274,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("word")
         p.add_argument(
             "--theta",
-            type=int,
+            type=_integer,
             default=None,
             help="minimum unpaired slots under every arc (default: $DDNA_THETA or 0)",
         )

@@ -10,12 +10,17 @@ hairpin-loop size.  ``min_loop = 0`` is the pure calculus.
 Enumeration yields each structure exactly once, lazily, in lexicographic
 order of the sorted arc list, starting with the empty structure.
 Counting and maximum bonds fill interval tables bottom-up over partner
-lists and never materialize structures; the maximum-bond table counts
-its witnesses in the same loop.  Witnesses are streamed off the table by
-the walk the grammar's proofs also use, :func:`ddna.core.matchings`: the
-first is yielded once the table is filled, only intervals with a few
-witnesses keep them, and none of the whole word's is stored.  No
-algorithm here recurses.
+lists and never materialize structures.  Counting packs each row of its
+table into one integer, a fixed-width slot per interval end; its
+recurrence is linear in whole rows, so each partner costs one
+big-integer multiply, not one per cell.  Slots of one bit per letter fit
+most words; a row that overflows them shows it past its top slot, and the
+word is counted again at the width of ``3**n``, which bounds every count.
+The maximum-bond table counts its witnesses in the same loop.
+Witnesses are streamed off the table by the walk the grammar's proofs
+also use, :func:`ddna.core.matchings`: the first is yielded once the
+table is filled, only intervals with a few witnesses keep them, and none
+of the whole word's is stored.  No algorithm here recurses.
 """
 
 from __future__ import annotations
@@ -107,26 +112,55 @@ def _walk(word: str, partners: list[list[int]]) -> Iterator[SecondaryStructure]:
 
 
 def count_structures(word: str, cfg: FoldConfig = DEFAULT) -> int:
-    """Number of structures on ``word``, by an interval table filled bottom-up.
+    """Number of structures on ``word``, by a table filled bottom-up in packed rows.
 
     ``N(i, j) = N(i+1, j) + sum over partners k <= j of i of N(i+1, k-1) * N(k+1, j)``
     with ``N = 1`` on empty intervals; equals ``len(list(enumerate_structures(...)))``.
+
+    Row ``i`` is one integer whose slot ``j - i + 1`` holds ``N(i, j)`` for
+    ``j = i-1 .. n``; slot 0 is the empty interval's 1.  The recurrence is
+    linear in whole rows: ``row_i = 1 + (row_{i+1} << b) + sum over partners
+    k of (N(i+1, k-1) * row_{k+1}) << ((k-i+1) * b)`` for ``b`` bits per
+    slot, one big-integer multiply per partner, and ``k <= j`` needs no test
+    because ``row_{k+1}`` has no slot below ``j = k``.  ``N(i, j)`` grows
+    with ``j``, so a slot of row ``i`` overflows exactly when the row
+    reaches past its top slot.  The first pass gives a slot one bit per
+    letter; if a row overflows, a second pass gives it the width of
+    ``3**n``, which no count reaches (each is at most a Motzkin number).
+
+    >>> count_structures("ACGT")
+    4
     """
     word = canonical_word(word)
     n = len(word)
     partners = _partners(word, cfg)
-    # counts[i][j] for the closed interval i..j; empty intervals (j < i) hold 1.
-    counts = [[1] * (n + 2) for _ in range(n + 2)]
+    count = _packed_count(n, partners, (n + 7) // 8)
+    if count is None:
+        count = _packed_count(n, partners, ((3**n).bit_length() + 7) // 8)
+    return count
+
+
+def _packed_count(n: int, partners: list[list[int]], size: int) -> int | None:
+    """``N(1, n)`` over rows of ``size``-byte slots, or ``None`` if a slot overflows."""
+    bits = 8 * size
+    rows = [1] * (n + 2)  # rows[n + 1] holds only the empty interval
     for i in range(n, 0, -1):
-        row, below = counts[i], counts[i + 1]
-        for j in range(i + 1, n + 1):
-            total = below[j]
-            for k in partners[i]:
-                if k > j:
-                    break
-                total += below[k - 1] * counts[k + 1][j]
-            row[j] = total
-    return counts[1][n]
+        below = rows[i + 1]
+        terms, last = 0, n + 1
+        if partners[i]:
+            # N(i+1, k-1) is slot k-i-1 of ``below``.  The partner terms are
+            # summed from the last k down, each shifted by the gap to the next.
+            digits = below.to_bytes((n - i + 1) * size, "little")
+            for k in reversed(partners[i]):
+                at = (k - i - 1) * size
+                inner = int.from_bytes(digits[at : at + size], "little")
+                terms = (terms << (last - k) * bits) + inner * rows[k + 1]
+                last = k
+        row = 1 + ((below + (terms << (last - i) * bits)) << bits)
+        if row >> (n - i + 2) * bits:
+            return None
+        rows[i] = row
+    return rows[1] >> n * bits
 
 
 def _fill(

@@ -145,6 +145,33 @@ class TestFolding:
         monkeypatch.setenv("DDNA_THETA", "-1")
         assert run(capsys, "count", "ACGT") == (1, "", "ddna: DDNA_THETA must be >= 0\n")
 
+    @pytest.mark.parametrize("raw", ["1_0", "+3", "٣", " 3", "-", ""])
+    def test_integers_are_an_optional_minus_and_ascii_digits(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DDNA_THETA", raw)
+        assert run(capsys, "fold", "ACGTAGGGTACGT") == (
+            1,
+            "",
+            f"ddna: DDNA_THETA must be an integer, got {raw!r}\n",
+        )
+        monkeypatch.delenv("DDNA_THETA")
+        for argv in (
+            ["count", "ACGT", "--theta", raw],
+            ["unbend", FIXTURES / "hairpin.dbn", "--source-len", raw],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                run(capsys, *argv)
+            assert exit_.value.code == 2
+            assert f"invalid int value: {raw!r}" in capsys.readouterr().err
+
+    def test_theta_keeps_negative_and_zero_padded_values(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "count", "ACGT", "--theta", "-1")
+        assert (code, out) == (1, "") and "min_loop must be a nonnegative integer" in err
+        assert run(capsys, "count", "ACGT", "--theta", "03") == (0, "1\n", "")
+        monkeypatch.setenv("DDNA_THETA", "-0")
+        assert run(capsys, "count", "ACGT") == (0, "4\n", "")
+        code, out, _ = run(capsys, "unbend", FIXTURES / "hairpin.dbn", "--source-len", "00")
+        assert code == 0 and out.startswith("-\nACGTAGGGTACGT\n")
+
     def test_fold_finds_hairpin(self, capsys):
         code, out, _ = run(capsys, "fold", "ACGTAGGGTACGT", "--theta", "3")
         assert code == 0

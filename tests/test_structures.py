@@ -142,6 +142,23 @@ class TestCount:
                     reverse_complement(word), FoldConfig(theta)
                 )
 
+    @pytest.mark.parametrize(
+        "word, theta",
+        [
+            ("AT" * 60, 0),
+            ("".join(random.Random(17).choice("ACGT") for _ in range(200)), 3),
+            ("A" * 100 + "T" * 100, 0),
+            ("AG" * 100, 0),
+            ("", 0),
+            ("A", 0),
+        ],
+        ids=["AT*60", "random200-theta3", "A100T100", "AG*100", "empty", "A"],
+    )
+    def test_packed_rows_match_the_reference(self, word, theta):
+        # AT*60 overflows one bit per letter and needs the 3**n-wide pass.
+        cfg = FoldConfig(theta)
+        assert count_structures(word, cfg) == count_structures_reference(word, cfg)
+
     def test_counts_without_materializing(self):
         # A word far beyond enumeration reach still counts quickly.
         value = count_structures("ACGT" * 20, FoldConfig(3))
@@ -285,6 +302,8 @@ def fold_outputs(word, theta, count, enumerate_, max_bond_):
 @example("AT" * 10, 0)
 @example("ACGT" * 8, 0)
 @example("AT" * 5, 0)
+@example("AT" * 8, 0)
+@example("AT" * 4, 0)
 def test_partner_tables_match_the_pair_matrix_reference(word, theta):
     """Counts, the first 3,000 structures in order, and the maximum bond
     count with its witnesses in order all equal the reference's."""
