@@ -4,10 +4,11 @@ One binary, subcommand style.  Results go to standard output (or
 ``--output``), diagnostics to standard error; the exit code is 0 exactly
 when the command succeeded semantically.  :func:`main` is the one error
 boundary: a :class:`CliError`, a library ``ValueError`` or an ``OSError``
-is printed as ``ddna: <message>`` with exit code 1.  ``.ddna`` paths hold
-diagrams, anything else is read as two-line dot-bracket text.  The default
-``min_loop`` comes from ``--theta`` or the ``DDNA_THETA`` environment
-variable.
+is printed as ``ddna: <message>`` with exit code 1.  A broken pipe (the
+reader closed the output early, as ``| head`` does) exits 1 silently.
+``.ddna`` paths hold diagrams, anything else is read as two-line
+dot-bracket text.  The default ``min_loop`` comes from ``--theta`` or the
+``DDNA_THETA`` environment variable.
 
 Each command imports only the layer it runs: the module level needs just
 ``core`` and the standard library, so ``ddna revcomp`` never loads the
@@ -332,6 +333,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader left early, as ``ddna fold ... | head`` does: stop
+        # quietly, and send what is still buffered to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"ddna: {exc}\n")
         return 1

@@ -325,7 +325,11 @@ class SecondaryStructure:
     Instances are immutable, and the public constructor validates them.
     Operations trust valid operands and build their results without
     validating again.  The two fields live in slots, not an instance dict,
-    so the many witnesses of a fold stay small.
+    so the many witnesses of a fold stay small.  ``arcs`` always reads as
+    a frozenset, but a structure from :meth:`unchecked` may hold its arcs
+    as a tuple until the first read, which builds the set and stores it
+    in the tuple's place.  Two threads racing on that first read may each
+    build an equal set; either one is kept.
     """
 
     word: str
@@ -333,7 +337,7 @@ class SecondaryStructure:
 
     def __post_init__(self) -> None:
         _set_word(self, canonical_word(self.word))
-        _set_arcs(self, frozenset((index(i), index(j)) for i, j in self.arcs))
+        _set_arcs(self, frozenset((index(i), index(j)) for i, j in _raw_arcs(self)))
         violations = structure_violations(self.word, self.arcs)
         if violations:
             raise StructureError(violations)
@@ -341,12 +345,15 @@ class SecondaryStructure:
     @classmethod
     def unchecked(cls, word: str, arcs: Iterable[tuple[int, int]]) -> "SecondaryStructure":
         """Build from a canonical ``word`` and ``(i, j)`` tuples without
-        validating or copying: a frozenset of arcs is shared as it is.  A
-        value not derived from valid operands must have no :meth:`violations`
-        before an operation uses it."""
+        validating: a frozenset of arcs is shared as it is, anything else is
+        stored as a tuple, and the set is built on the first read of
+        ``arcs``.  So a listed structure that is only written out, as by
+        :func:`emit_dotbracket`, never builds one.  A value not derived from
+        valid operands must have no :meth:`violations` before an operation
+        uses it."""
         self = object.__new__(cls)
         _set_word(self, word)
-        _set_arcs(self, frozenset(arcs))
+        _set_arcs(self, arcs if isinstance(arcs, frozenset) else tuple(arcs))
         return self
 
     def violations(self) -> list[Violation]:
@@ -359,10 +366,24 @@ class SecondaryStructure:
         return len(self.word)
 
 
-# The slots' own setters, which skip the frozen ``__setattr__``; ``unchecked``
-# builds every witness of a fold through them.
+# The slots' own accessors, which skip the frozen ``__setattr__``; ``unchecked``
+# builds every witness of a fold through them.  ``_raw_arcs`` reads what the
+# arcs slot holds: a frozenset, or the tuple an unchecked structure was given.
 _set_word = SecondaryStructure.word.__set__
 _set_arcs = SecondaryStructure.arcs.__set__
+_raw_arcs = SecondaryStructure.arcs.__get__
+
+
+def _arcs(self: SecondaryStructure) -> frozenset[tuple[int, int]]:
+    arcs = _raw_arcs(self)
+    if not isinstance(arcs, frozenset):
+        arcs = frozenset(arcs)
+        _set_arcs(self, arcs)
+    return arcs
+
+
+# The generated ``__init__`` and unpickling store through the setter.
+SecondaryStructure.arcs = property(_arcs, _set_arcs, doc="The base pairs, as a frozenset.")
 
 
 def structure_from_brackets(word: str, brackets: str) -> SecondaryStructure:
@@ -405,7 +426,7 @@ def parse_dotbracket(text: str) -> SecondaryStructure:
 def brackets_of(structure: SecondaryStructure) -> str:
     """The bracket line of a structure."""
     chars = ["."] * len(structure.word)
-    for i, j in structure.arcs:
+    for i, j in _raw_arcs(structure):  # builds no set for an unchecked structure
         chars[i - 1] = "("
         chars[j - 1] = ")"
     return "".join(chars)

@@ -403,9 +403,14 @@ def load_lexicon(text: str) -> Lexicon:
     import yaml  # deferred: only lexicon readers pay for the import
 
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise LexiconError(f"not valid YAML: {exc}") from None
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        # The C loader words its errors differently: parse again with the
+        # pure one, whose messages are the ones reported.
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise LexiconError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise LexiconError("lexicon must be a mapping")
     unknown = set(data) - {"types", "theta", "entries"}

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -433,3 +436,24 @@ class TestErrorBoundary:
         code, out, err = run(capsys, "parse", "Cats", "--lexicon", bad, "--goal", "n")
         self.assert_one_line_error(code, out, err)
         assert err == f"ddna: {bad}: entry 'Cats': 'structure' must be a string, got None\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "ACGT" * 7], ["fold", "AT" * 12]],
+        ids=["enumerate", "fold"],
+    )
+    def test_reader_closing_the_pipe_early_is_no_error(self, argv):
+        # As `ddna fold ... | head -1` does: the reader takes one line and
+        # leaves long before the listing ends.
+        src = FIXTURES.parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with subprocess.Popen(
+            [sys.executable, "-m", "ddna.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")

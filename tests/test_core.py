@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -127,6 +129,47 @@ class TestSlottedValue:
     def test_unchecked_shares_a_frozenset_it_is_given(self):
         arcs = frozenset({(1, 2)})
         assert SecondaryStructure.unchecked("AT", arcs).arcs is arcs
+
+    # Arcs handed to ``unchecked`` as anything but a frozenset: the set is
+    # built on the first read.
+    LAZY = {
+        "list": lambda: [(3, 4), (1, 2)],
+        "set with duplicates": lambda: {(1, 2), (3, 4), (1, 2)},
+        "generator": lambda: (arc for arc in [(1, 2), (3, 4), (1, 2)]),
+    }
+
+    @pytest.fixture(params=sorted(LAZY))
+    def lazy(self, request):
+        return SecondaryStructure.unchecked("ATAT", self.LAZY[request.param]())
+
+    VALID = SecondaryStructure("ATAT", [(1, 2), (3, 4)])
+
+    def test_lazy_value_equals_the_validated_one(self, lazy):
+        assert lazy == self.VALID and hash(lazy) == hash(self.VALID)
+        assert repr(lazy) == repr(self.VALID) and emit_dotbracket(lazy) == "ATAT\n()()\n"
+
+    def test_lazy_arcs_read_as_one_frozenset(self, lazy):
+        assert type(lazy.arcs) is frozenset and lazy.arcs is lazy.arcs
+        assert lazy.arcs == {(1, 2), (3, 4)}
+
+    def test_lazy_value_keeps_the_dataclass_helpers(self, lazy):
+        assert [f.name for f in dataclasses.fields(lazy)] == ["word", "arcs"]
+        assert dataclasses.asdict(lazy) == {"word": "ATAT", "arcs": {(1, 2), (3, 4)}}
+        moved = dataclasses.replace(lazy, arcs=[(1, 4)])
+        assert moved.arcs == {(1, 4)} and type(moved.arcs) is frozenset
+
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+    def test_lazy_value_round_trips(self, lazy, clone):
+        again = clone(lazy)
+        assert again == self.VALID and type(again.arcs) is frozenset
+
+    def test_lazy_arcs_cannot_be_deleted(self, lazy):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del lazy.arcs
+        assert not hasattr(lazy, "__dict__")
+
+    def test_constructor_still_accepts_arcs_as_lists(self):
+        assert SecondaryStructure("AT", [[1, 2]]).arcs == {(1, 2)}
 
     def test_checks_run_on_an_unchecked_value(self):
         raw = SecondaryStructure.unchecked("ATTA", frozenset({(1, 3), (2, 4)}))

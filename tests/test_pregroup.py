@@ -329,6 +329,24 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError):
             load_lexicon("types: [unbalanced")
 
+    def test_yaml_errors_read_as_the_pure_loader_words_them(self):
+        import yaml
+
+        text = "types: {n: AT\nentries: {}\n"  # an unterminated flow mapping
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == "not valid YAML: " + str(pure.value)
+
+    def test_fixture_loads_alike_under_both_yaml_loaders(self):
+        import yaml
+
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        text = fixture_text("lexicon.yaml")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
     def test_unknown_top_level_field(self):
         with pytest.raises(LexiconError, match="unknown lexicon fields"):
             load_lexicon("types: {}\nwords: {}\n")
