@@ -140,17 +140,9 @@ def structure_violations(word: str, arcs: Iterable[tuple[int, int]]) -> list[Vio
     rule.  Costs O(n + m log m) for n positions and m arcs, plus the
     crossing pairs listed once :func:`arc_depths` rejects the arcs.
     """
-    n = len(word)
-    violations = []
     arcs = sorted(set(arcs))
-    checkable = [(i, j) for i, j in arcs if 1 <= i < j <= n]
     # The per-arc range and uniqueness scans run only once a count shows a failure.
-    if len(checkable) < len(arcs):
-        for i, j in arcs:
-            if not (1 <= i <= n and 1 <= j <= n):
-                violations.append(Violation("index-range", f"arc ({i},{j}) outside 1..{n}"))
-            elif i >= j:
-                violations.append(Violation("arc-order", f"arc ({i},{j}) needs i < j"))
+    checkable, violations = well_formed_arcs(arcs, len(word), "arc")
     ends = [p for arc in checkable for p in arc]
     if len(set(ends)) < len(ends):
         seen: dict[int, tuple[int, int]] = {}
@@ -161,16 +153,39 @@ def structure_violations(word: str, arcs: Iterable[tuple[int, int]]) -> list[Vio
                         Violation("uniqueness", f"position {p} in both {seen[p]} and ({i},{j})")
                     )
                 seen.setdefault(p, (i, j))
-    for i, j in checkable:
-        if _COMPLEMENT.get(word[i - 1]) != word[j - 1]:
-            violations.append(
-                Violation(
-                    "complementarity",
-                    f"arc ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
-                )
-            )
+    violations.extend(typing_violations(word, checkable, "complementarity", "arc"))
     violations.extend(crossing_violations(checkable, "crossing", "arcs"))
     return violations
+
+
+def well_formed_arcs(
+    arcs: list[tuple[int, int]], n: int, name: str
+) -> tuple[list[tuple[int, int]], list[Violation]]:
+    """The sorted ``arcs`` that lie in ``1..n`` with ``i < j``, and an
+    ``index-range`` or ``arc-order`` violation for each other arc, in list
+    order.  The per-arc scan runs only once a count shows a failure."""
+    kept = [(i, j) for i, j in arcs if 1 <= i < j <= n]
+    if len(kept) == len(arcs):
+        return kept, []
+    return kept, [
+        Violation("index-range", f"{name} ({i},{j}) outside 1..{n}")
+        if not (1 <= i <= n and 1 <= j <= n)
+        else Violation("arc-order", f"{name} ({i},{j}) needs i < j")
+        for i, j in arcs
+        if not 1 <= i < j <= n
+    ]
+
+
+def typing_violations(
+    word: str, arcs: list[tuple[int, int]], rule: str, name: str
+) -> list[Violation]:
+    """A ``rule`` violation for each of the well-formed ``arcs`` whose letters
+    in ``word`` are not Watson-Crick complements, in list order."""
+    return [
+        Violation(rule, f"{name} ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}")
+        for i, j in arcs
+        if _COMPLEMENT.get(word[i - 1]) != word[j - 1]
+    ]
 
 
 def crossing_violations(arcs: list[tuple[int, int]], rule: str, name: str) -> list[Violation]:

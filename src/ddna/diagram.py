@@ -47,10 +47,10 @@ from .core import (
     Violation,
     canonical_word,
     crossing_violations,
-    is_complementary,
     reverse_complement,
     spanned_anchors,
-    structure_violations,
+    typing_violations,
+    well_formed_arcs,
 )
 
 
@@ -185,14 +185,8 @@ def validate(d: Diagram) -> list[Violation]:
         ("source", d.source, d.source_arcs, 0),
         ("target", d.target, d.target_arcs, 1),
     ):
-        name, n, kept = f"{side} arc", len(word), []
-        for i, j in sorted(arcs):
-            if not (1 <= i <= n and 1 <= j <= n):
-                violations.append(Violation("index-range", f"{name} ({i},{j}) outside 1..{n}"))
-            elif i >= j:
-                violations.append(Violation("arc-order", f"{name} ({i},{j}) needs i < j"))
-            else:
-                kept.append((i, j))
+        kept, bad = well_formed_arcs(sorted(arcs), len(word), f"{side} arc")
+        violations.extend(bad)
         sides.append((side, word, kept, [wire[end] for wire in through]))
 
     # Degree: each boundary position in at most one edge on its side.
@@ -216,14 +210,7 @@ def validate(d: Diagram) -> list[Violation]:
                 )
             )
     for side, word, arcs, _ in sides:
-        for i, j in arcs:
-            if not is_complementary(word[i - 1], word[j - 1]):
-                violations.append(
-                    Violation(
-                        "arc-typing",
-                        f"{side} arc ({i},{j}) pairs {word[i - 1]} with {word[j - 1]}",
-                    )
-                )
+        violations.extend(typing_violations(word, arcs, "arc-typing", f"{side} arc"))
 
     for (i, j), (k, l) in zip(through, through[1:]):
         if j >= l:
@@ -306,7 +293,9 @@ def tensor_all(diagrams: Iterable[Diagram]) -> Diagram:
 # one, each the edge's far end and pair type as ``(layer, position,
 # pair_type)``.  Layer ``_INNER`` is another interface position,
 # ``_UPPER``/``_LOWER`` an outer boundary.  A path alternates between the two
-# maps.
+# maps.  A position is a path end when its edge on one side is missing or
+# leaves the interface.  One pass traces each path with ends from the first
+# end met, and a second pass traces what is left: closed loops.
 #
 # One bond rule covers the report.  Zipped, every edge is a bond, through
 # wires included (each is an arc of the straightened picture), and each
@@ -362,31 +351,26 @@ def _glue(f: Diagram, g: Diagram, zipped: bool) -> tuple[Diagram, LoopReport]:
     through: set[tuple[int, int]] = set()
     source_arcs, target_arcs = set(f.source_arcs), set(g.target_arcs)
     dangled = path_bonds = absorbed = open_paths = loops = loop_bonds = loop_at = loop_cg = 0
-    # Paths from the outer boundaries: an end on the upper piece leaves by the
-    # lower one and vice versa.  Each path is traced once, from either end.
-    for side, starts in ((1, up), (0, down)):
-        for t, start in enumerate(starts):
-            if start is None or start[0] == _INNER or seen[t]:
-                continue
-            bonds = [start[2]] if start[2] else []
-            end = walk(t, side, bonds)
-            if end is None:
-                dangled += 1
-                path_bonds += len(bonds)
-                continue
+    for t in range(1, m + 1):  # paths with ends
+        u, d = up[t], down[t]
+        side, start = (0, d) if u and u[0] == _INNER else (1, u)
+        if seen[t] or (start and start[0] == _INNER) or not (u or d or zipped):
+            continue  # traced already, inside a path, or on no path
+        bonds = [start[2]] if start and start[2] else []
+        end = walk(t, side, bonds)
+        if start and end:  # outer to outer: one edge of the composite
             (la, a, _), (lb, b, _) = (start, end) if start < end else (end, start)
             if la != lb:
                 through.add((a, b))
             else:
                 (source_arcs if la == _UPPER else target_arcs).add((a, b))
             absorbed += len(bonds) - (zipped or la == lb)
-    for t in range(1, m + 1):  # open paths between two interface dead ends
-        u, d = up[t], down[t]
-        if not seen[t] and not (u and d) and (u or d or zipped):
-            bonds = []
-            walk(t, 0 if u else 1, bonds)
+            continue
+        if start or end:
+            dangled += 1
+        else:
             open_paths += 1
-            path_bonds += len(bonds)
+        path_bonds += len(bonds)
     for t in range(1, m + 1):  # what is left is closed loops
         if not seen[t] and up[t]:
             bonds = []

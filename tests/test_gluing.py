@@ -90,6 +90,20 @@ def test_dead_ends_on_both_sides():
     assert (report.dangled_endpoints, report.erased_open_paths) == (2, 1)
     assert_compose_matches(f, g)
     assert_routes_match(bend(f), bend(g), f.source, f.target)
+    # The interface walk meets each path at its first end in position order.
+    # Position 1 is a dead end whose path runs through the upper arc (1,2)
+    # and leaves by the lower wire at 2; position 3 is a path of its own
+    # between two wires; position 4 has no edge, an erased path once zipped.
+    f = Diagram("G", "ATGC", {(1, 3)}, set(), {(1, 2)})
+    g = Diagram("ATGC", "TG", {(2, 1), (3, 2)}, set(), set())
+    composite, report = compose(f, g)
+    assert composite == Diagram("G", "TG", {(1, 2)})
+    assert (report.dangled_endpoints, report.erased_open_paths) == (1, 0)
+    _, report = zip_and_transfer(bend(f), bend(g), f.target)
+    assert (report.dangled_endpoints, report.erased_open_paths) == (1, 1)
+    assert (report.erased_path_bonds, report.absorbed_bonds) == (5, 2)
+    assert_compose_matches(f, g)
+    assert_routes_match(bend(f), bend(g), f.source, f.target)
 
 
 def test_interface_of_closed_loops_only():

@@ -8,6 +8,7 @@ itself loads a public name's home module on first use.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -103,3 +104,20 @@ def test_unknown_name_is_an_attribute_error():
         ddna.no_such_name
     with pytest.raises(ImportError):
         from ddna import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("ddna/*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    """Each name a module imports (``from __future__`` aside) is read somewhere in it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []

@@ -4,12 +4,13 @@ the validity of every value the library builds without re-validation."""
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddna import (
     Diagram,
     FoldConfig,
     SecondaryStructure,
+    Violation,
     bend,
     coevaluation,
     compose,
@@ -115,6 +116,32 @@ def test_structure_violations_match_pairwise(case):
 @example(Diagram.unchecked("AAA", "AAAAA", {(1, 4), (2, 2)}, set(), {(1, 5)}))
 def test_validate_matches_pairwise(d):
     assert validate(d) == validate_pairwise(d)
+
+
+# The structure rules and the diagram rules they become on a target side.
+SIDE_RULES = {
+    "index-range": "index-range",
+    "arc-order": "arc-order",
+    "complementarity": "arc-typing",
+    "crossing": "arc-arc-crossing",
+}
+
+
+@given(structure_inputs())
+@settings(max_examples=300)
+@example(("ACGTA", {(0, 3), (4, 2), (2, 6), (3, 3), (1, 4), (2, 5)}))
+def test_validate_checks_a_side_as_structure_violations_does(case):
+    """The per-arc checks the two validators share agree rule by rule on a
+    structure laid along a diagram's target, out-of-range and reversed arcs
+    included."""
+    word, arcs = case
+    got = validate(Diagram.unchecked("", word, target_arcs=arcs))
+    want = [
+        Violation(SIDE_RULES[v.rule], f"target {v.detail}")
+        for v in structure_violations(word, arcs)
+        if v.rule in SIDE_RULES
+    ]
+    assert [v for v in got if v.rule in SIDE_RULES.values()] == want
 
 
 @given(st.integers(0, 12).flatmap(pairs))
