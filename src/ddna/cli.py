@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import fields
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -41,10 +41,12 @@ class CliError(Exception):
 
 def _integer(text: str) -> int:
     """An optional ``-`` and ASCII digits, the rule ``parse_ddna`` reads
-    indices by; ``int()`` alone would also take ``1_0``, ``+3`` or ``٣``."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    indices by; ``int()`` alone would also take ``1_0``, ``+3`` or ``٣``,
+    and past the interpreter's digit limit it raises its own ``ValueError``."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        with suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _default_theta() -> int:
@@ -236,10 +238,6 @@ def _cmd_render(args) -> None:
         _write_records([render_structure_svg(value, _style(args))], args.output)
 
 
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", "-o", default=None, help="write here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddna",
@@ -247,41 +245,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("revcomp", help="reverse complement of a word")
+    def command(name: str, func: Callable, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("revcomp", _cmd_revcomp, "reverse complement of a word")
     p.add_argument("word", help="DNA word ('' or '-' for the empty word)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_revcomp)
-
-    p = sub.add_parser("validate", help="check a .ddna or dot-bracket file")
+    p = command("validate", _cmd_validate, "check a .ddna or dot-bracket file")
     p.add_argument("path")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("compose", help="stack two diagrams (upper then lower)")
+    p = command("compose", _cmd_compose, "stack two diagrams (upper then lower)")
     p.add_argument("upper")
     p.add_argument("lower")
     p.add_argument("--report", action="store_true", help="print the loop report to stderr")
-    _add_output(p)
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("bend", help="straighten a diagram into a structure")
+    p = command("bend", _cmd_bend, "straighten a diagram into a structure")
     p.add_argument("path")
-    _add_output(p)
-    p.set_defaults(func=_cmd_bend)
-
-    p = sub.add_parser("unbend", help="fold a structure back into a diagram")
+    p = command("unbend", _cmd_unbend, "fold a structure back into a diagram")
     p.add_argument("path")
     p.add_argument(
         "--source-len", type=_integer, required=True, help="length of the dualized prefix"
     )
-    _add_output(p)
-    p.set_defaults(func=_cmd_unbend)
-
     for name, func, summary in (
         ("enumerate", _cmd_enumerate, "list every structure on a word"),
         ("count", _cmd_count, "count structures without listing them"),
         ("fold", _cmd_fold, "maximum-bond structures of a word"),
     ):
-        p = sub.add_parser(name, help=summary)
+        p = command(name, func, summary)
         p.add_argument("word")
         p.add_argument(
             "--theta",
@@ -289,27 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="minimum unpaired slots under every arc (default: $DDNA_THETA or 0)",
         )
-        _add_output(p)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("parse", help="find contraction proofs for a sentence")
+    p = command("parse", _cmd_parse, "find contraction proofs for a sentence")
     p.add_argument("words", nargs="+", metavar="word")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--goal", required=True, help="goal type, e.g. 's'")
     p.add_argument("--all-proofs", action="store_true")
-    _add_output(p)
-    p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("meaning", help="structure a sentence leaves on the goal word")
+    p = command("meaning", _cmd_meaning, "structure a sentence leaves on the goal word")
     p.add_argument("words", nargs="+", metavar="word")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--format", choices=["dotbracket", "text", "svg"], default="dotbracket")
     p.add_argument("--report", action="store_true", help="print the loop report to stderr")
-    _add_output(p)
-    p.set_defaults(func=_cmd_meaning)
 
-    p = sub.add_parser("render", help="render a file as SVG or text art")
+    p = command("render", _cmd_render, "render a file as SVG or text art")
     p.add_argument("path")
     p.add_argument("--format", choices=["svg", "text"], default="svg")
     p.add_argument("--at-color", default=argparse.SUPPRESS)
@@ -323,9 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="draw 5'-to-3' direction arrows",
     )
-    _add_output(p)
-    p.set_defaults(func=_cmd_render)
 
+    for name, p in sub.choices.items():  # every command but validate writes a result
+        if name != "validate":
+            p.add_argument("--output", "-o", default=None, help="write here instead of stdout")
     return parser
 
 

@@ -425,7 +425,11 @@ def structure_from_brackets(word: str, brackets: str) -> SecondaryStructure:
             raise DotBracketError(f"invalid character {ch!r} at position {pos}")
     if stack:
         raise DotBracketError(f"unmatched '(' at position {stack[-1]}")
-    return SecondaryStructure(word, frozenset(arcs))
+    # Balanced brackets give in-range, ordered, disjoint, nested arcs: only letters can clash.
+    violations = typing_violations(word, sorted(arcs), "complementarity", "arc")
+    if violations:
+        raise StructureError(violations)
+    return SecondaryStructure.unchecked(word, arcs)
 
 
 def parse_dotbracket(text: str) -> SecondaryStructure:

@@ -421,6 +421,8 @@ def load_lexicon(text: str) -> Lexicon:
         raise LexiconError("'types' must map basic types to words")
     assignments = {}
     for name, word in raw_types.items():
+        if isinstance(word, (list, dict)):  # str() of nested YAML aliases grows exponentially
+            raise LexiconError(f"type {str(name)!r} maps to a {type(word).__name__}, not a word")
         try:
             assignments[str(name)] = canonical_word(str(word))
         except ValueError as exc:

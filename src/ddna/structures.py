@@ -15,8 +15,8 @@ table into one integer, a fixed-width slot per interval end; its
 recurrence is linear in whole rows, so each partner costs one
 big-integer multiply, not one per cell.  Slots of one bit per letter fit
 most words; a row that overflows them shows it past its top slot, and the
-word is counted again at the width of ``3**n``, which bounds every count.
-The maximum-bond table counts its witnesses in the same loop.
+finished rows are re-packed at the width of ``3**n``, which bounds every
+count.  The maximum-bond table counts its witnesses in the same loop.
 Witnesses are streamed off the table by the walk the grammar's proofs
 also use, :func:`ddna.core.matchings`: the first is yielded once the
 table is filled, only intervals with a few witnesses keep them, and none
@@ -124,9 +124,10 @@ def count_structures(word: str, cfg: FoldConfig = DEFAULT) -> int:
     slot, one big-integer multiply per partner, and ``k <= j`` needs no test
     because ``row_{k+1}`` has no slot below ``j = k``.  ``N(i, j)`` grows
     with ``j``, so a slot of row ``i`` overflows exactly when the row
-    reaches past its top slot.  The first pass gives a slot one bit per
-    letter; if a row overflows, a second pass gives it the width of
-    ``3**n``, which no count reaches (each is at most a Motzkin number).
+    reaches past its top slot.  Slots start at one bit per letter; the
+    first row that overflows them re-packs the finished rows at the width of
+    ``3**n``, which no count reaches (each is at most a Motzkin number), and
+    is computed again.  No other row is filled twice.
 
     >>> count_structures("ACGT")
     4
@@ -134,17 +135,11 @@ def count_structures(word: str, cfg: FoldConfig = DEFAULT) -> int:
     word = canonical_word(word)
     n = len(word)
     partners = _partners(word, cfg)
-    count = _packed_count(n, partners, (n + 7) // 8)
-    if count is None:
-        count = _packed_count(n, partners, ((3**n).bit_length() + 7) // 8)
-    return count
-
-
-def _packed_count(n: int, partners: list[list[int]], size: int) -> int | None:
-    """``N(1, n)`` over rows of ``size``-byte slots, or ``None`` if a slot overflows."""
-    bits = 8 * size
+    size = (n + 7) // 8  # bytes per slot
     rows = [1] * (n + 2)  # rows[n + 1] holds only the empty interval
-    for i in range(n, 0, -1):
+    i = n
+    while i:
+        bits = 8 * size
         below = rows[i + 1]
         terms, last = 0, n + 1
         if partners[i]:
@@ -157,10 +152,19 @@ def _packed_count(n: int, partners: list[list[int]], size: int) -> int | None:
                 terms = (terms << (last - k) * bits) + inner * rows[k + 1]
                 last = k
         row = 1 + ((below + (terms << (last - i) * bits)) << bits)
-        if row >> (n - i + 2) * bits:
-            return None
+        if row >> (n - i + 2) * bits:  # overflow: widen the finished rows, redo row i
+            wide = ((3**n).bit_length() + 7) // 8
+            for k in range(i + 1, n + 2):
+                digits = rows[k].to_bytes((n - k + 2) * size, "little")
+                packed = bytearray((n - k + 2) * wide)
+                for b in range(size):  # byte b of every slot at once
+                    packed[b::wide] = digits[b::size]
+                rows[k] = int.from_bytes(packed, "little")
+            size = wide
+            continue
         rows[i] = row
-    return rows[1] >> n * bits
+        i -= 1
+    return rows[1] >> n * 8 * size
 
 
 def _fill(

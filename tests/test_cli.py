@@ -148,7 +148,25 @@ class TestFolding:
         monkeypatch.setenv("DDNA_THETA", "-1")
         assert run(capsys, "count", "ACGT") == (1, "", "ddna: DDNA_THETA must be >= 0\n")
 
-    @pytest.mark.parametrize("raw", ["1_0", "+3", "٣", " 3", "-", ""])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "1_0",
+            "+3",
+            "٣",
+            " 3",
+            "-",
+            "",
+            # Past the interpreter's digit limit, int() raises its own ValueError.
+            pytest.param(
+                "9" * 5000,
+                id="5000-digits",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+                ),
+            ),
+        ],
+    )
     def test_integers_are_an_optional_minus_and_ascii_digits(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("DDNA_THETA", raw)
         assert run(capsys, "fold", "ACGTAGGGTACGT") == (

@@ -18,6 +18,7 @@ from ddna import (
     parse_dotbracket,
     reverse_complement,
     structure_from_brackets,
+    structure_violations,
 )
 from ddna.core import PAIR_TYPE, pair_class
 
@@ -33,6 +34,12 @@ def test_complement_pairs(base, partner):
 @pytest.mark.parametrize("base,partner", [("A", "T"), ("T", "A"), ("C", "G"), ("G", "C")])
 def test_pair_type_table_agrees_with_pair_class(base, partner):
     assert PAIR_TYPE[base] == PAIR_TYPE[partner] == pair_class(base, partner)
+
+
+@pytest.mark.parametrize("base,partner", [("A", "A"), ("A", "C"), ("G", "T"), ("C", "N")])
+def test_pair_class_rejects_a_non_pair(base, partner):
+    with pytest.raises(ValueError, match="is not a Watson-Crick pair"):
+        pair_class(base, partner)
 
 
 def test_complement_rejects_garbage():
@@ -211,6 +218,14 @@ class TestDotBracket:
         s = parse_dotbracket("\n\n")
         assert s.word == "" and not s.arcs
 
+    @pytest.mark.parametrize("text", ["\n", "", "  \n"])
+    def test_missing_lines_read_as_empty(self, text):
+        assert parse_dotbracket(text) == SecondaryStructure("", ())
+
+    @pytest.mark.parametrize("text,length", [("\n\n", 0), ("ACGTAGGGTACGT\n(((((...)))))\n", 13)])
+    def test_len_is_the_word_length(self, text, length):
+        assert len(parse_dotbracket(text)) == length
+
     def test_emit_examples(self):
         assert emit_dotbracket(SecondaryStructure("AT", {(1, 2)})) == "AT\n()\n"
         assert emit_dotbracket(SecondaryStructure("GAGAGA", set())) == "GAGAGA\n......\n"
@@ -227,3 +242,30 @@ def test_parse_emit_are_mutually_inverse(data):
     word = data.draw(words)
     structure = data.draw(st.sampled_from(structures_of(word)))
     assert parse_dotbracket(emit_dotbracket(structure)) == structure
+
+
+@given(st.data())
+def test_bracket_lines_raise_every_violation_the_full_check_finds(data):
+    # The bracket scan leaves only the letters to check; a mistyped line must
+    # raise the violations structure_violations lists, in its order.
+    word = data.draw(words)
+    chars, opened, arcs = [], [], []
+    for pos in range(1, len(word) + 1):
+        room = len(word) - pos  # positions after this one, to close what is open
+        options = ["."] if len(opened) <= room else []
+        options += ["("] if len(opened) < room else []
+        options += [")"] if opened else []
+        ch = data.draw(st.sampled_from(options))
+        if ch == "(":
+            opened.append(pos)
+        elif ch == ")":
+            arcs.append((opened.pop(), pos))
+        chars.append(ch)
+    expected = structure_violations(word, arcs)
+    if expected:
+        with pytest.raises(StructureError) as err:
+            structure_from_brackets(word, "".join(chars))
+        assert err.value.violations == expected
+        assert str(err.value) == str(StructureError(expected))
+    else:
+        assert structure_from_brackets(word, "".join(chars)) == SecondaryStructure(word, arcs)

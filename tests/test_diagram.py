@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,7 +403,25 @@ class TestDdnaFormat:
             parse_ddna("ACG\nACG\nT one 1\n")
 
     @pytest.mark.parametrize(
-        "line", ["T 1_0 1", "T +1 1", "T 1 ١", "T 1 ²", "T -+1 1", "T - 1", "T 1 0x1"]
+        "line",
+        [
+            "T 1_0 1",
+            "T +1 1",
+            "T 1 ١",
+            "T 1 ²",
+            "T -+1 1",
+            "T - 1",
+            "T 1 0x1",
+            # Past the interpreter's digit limit, int() raises its own ValueError;
+            # without that limit the index parses and is out of range.
+            pytest.param(
+                "T 1 " + "9" * 5000,
+                id="5000-digits",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+                ),
+            ),
+        ],
     )
     def test_indices_are_ascii_digits(self, line):
         from ddna import DdnaFormatError

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -368,10 +369,31 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match=message):
             load_lexicon(text)
 
-    @pytest.mark.parametrize("word", ["null", "AXG"])
+    @pytest.mark.parametrize("word", ["null", "AXG", "3", "1.5"])
     def test_bad_type_word_is_a_lexicon_error(self, word):
         with pytest.raises(LexiconError, match="invalid letters .* \\(type 'n'\\)$"):
             load_lexicon(f"types: {{n: {word}}}\nentries: {{}}\n")
+
+    @pytest.mark.parametrize(
+        "value,kind",
+        [("*a5", "list"), ("{AT: *a5}", "dict"), ("[]", "list"), ("{}", "dict")],
+        ids=["aliased-list", "aliased-dict", "empty-list", "empty-dict"],
+    )
+    def test_container_type_word_is_refused_before_it_is_spelled_out(self, value, kind):
+        # Nine-way lists six deep behind YAML aliases: about 320 bytes of text
+        # whose str() used to be a 24.6-million-character error after 11 s.
+        lists = ["&a0 [" + ", ".join(["AT"] * 9) + "]"]
+        lists += [f"&a{d} [" + ", ".join([f"*a{d - 1}"] * 9) + "]" for d in range(1, 6)]
+        text = f"theta: [{', '.join(lists)}]\ntypes: {{n: {value}}}\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(LexiconError) as err:
+                load_lexicon(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"type 'n' maps to a {kind}, not a word"
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize(
         "record,message",

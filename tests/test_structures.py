@@ -151,11 +151,13 @@ class TestCount:
             ("AG" * 100, 0),
             ("", 0),
             ("A", 0),
+            ("AT" * 100, 0),
         ],
-        ids=["AT*60", "random200-theta3", "A100T100", "AG*100", "empty", "A"],
+        ids=["AT*60", "random200-theta3", "A100T100", "AG*100", "empty", "A", "AT*100"],
     )
     def test_packed_rows_match_the_reference(self, word, theta):
-        # AT*60 overflows one bit per letter and needs the 3**n-wide pass.
+        # AT*60 and AT*100 overflow one bit per letter (first at row 27 of
+        # 120 and row 48 of 200), so their finished rows are re-packed 3**n wide.
         cfg = FoldConfig(theta)
         assert count_structures(word, cfg) == count_structures_reference(word, cfg)
 
