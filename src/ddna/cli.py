@@ -203,14 +203,7 @@ def _cmd_meaning(args) -> None:
     if result is None:
         raise CliError(f"no reduction of {' '.join(args.words)!r} to {args.goal!r}")
     structure, report = result
-    if args.format == "dotbracket":
-        text = emit_dotbracket(structure)
-    else:
-        from .render import render_structure_svg, render_structure_text
-
-        draw = render_structure_text if args.format == "text" else render_structure_svg
-        text = draw(structure)
-    _write_records([text], args.output)
+    _write_records([_formatted(structure, args)], args.output)
     _maybe_report(report, args.report)
 
 
@@ -223,19 +216,23 @@ def _style(args) -> RenderStyle:
     return RenderStyle(**{f.name: given[f.name] for f in fields(RenderStyle) if f.name in given})
 
 
-def _cmd_render(args) -> None:
-    from .diagram import Diagram
+def _formatted(value: Diagram | SecondaryStructure, args) -> str:
+    """``value`` as ``args.format`` asks: dot-bracket, text art or SVG.  The
+    renderer is imported only for a drawing."""
+    if args.format == "dotbracket":
+        return emit_dotbracket(value)
     from .render import render_diagram_svg, render_structure_svg, render_structure_text
 
-    value = _load(args.path, _parser(args.path))
-    if isinstance(value, Diagram):
-        if args.format == "text":
-            raise CliError("text rendering is for structures; use --format svg")
-        _write_records([render_diagram_svg(value, _style(args))], args.output)
-    elif args.format == "text":
-        _write_records([render_structure_text(value)], args.output)
-    else:
-        _write_records([render_structure_svg(value, _style(args))], args.output)
+    if args.format == "svg":
+        draw = render_structure_svg if isinstance(value, SecondaryStructure) else render_diagram_svg
+        return draw(value, _style(args))
+    if not isinstance(value, SecondaryStructure):
+        raise CliError("text rendering is for structures; use --format svg")
+    return render_structure_text(value)
+
+
+def _cmd_render(args) -> None:
+    _write_records([_formatted(_load(args.path, _parser(args.path)), args)], args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

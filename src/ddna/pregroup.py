@@ -22,6 +22,7 @@ composing the lexical states with the reduction diagram.
 from __future__ import annotations
 
 import re
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -86,6 +87,14 @@ class PregroupType:
     def __str__(self) -> str:
         return " ".join(str(t) for t in self.terms) if self.terms else "1"
 
+
+# A valid lexicon nests 3 deep; both YAML loaders build nested nodes by
+# recursion, so a deeper text is refused from its event stream first.
+_MAX_NESTING = 8
+# Wrong-typed values are named by their outer level only: YAML aliases can
+# make a few hundred bytes of text into a list of millions of items.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
 
 _TERM_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(l+|r+))?$")
 
@@ -383,6 +392,24 @@ def meaning(
     return bend(composite), report
 
 
+def _read_yaml(yaml, text: str, loader) -> object:
+    """``text`` loaded by ``loader``, once its events show no collection
+    nested deeper than ``_MAX_NESTING``."""
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_NESTING:
+                line = event.start_mark.line + 1
+                raise LexiconError(f"lexicon nests deeper than {_MAX_NESTING} levels (line {line})")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    try:
+        return yaml.load(text, Loader=loader)
+    except ValueError as exc:  # a scalar YAML resolves but Python cannot build
+        raise LexiconError(f"not valid YAML: {exc}") from None
+
+
 def load_lexicon(text: str) -> Lexicon:
     """Parse and validate a YAML lexicon.
 
@@ -399,23 +426,27 @@ def load_lexicon(text: str) -> Lexicon:
 
     Each entry's ``structure`` is the bracket line of a dot-bracket pair;
     the sequence line is the functor image of the entry's type.
+
+    Every malformed lexicon raises :class:`LexiconError`, including YAML
+    that nests collections more than eight deep (checked before any node
+    is built) and scalars Python cannot build, such as ``2024-13-45``.
     """
     import yaml  # deferred: only lexicon readers pay for the import
 
     try:
-        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        data = _read_yaml(yaml, text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError:
         # The C loader words its errors differently: parse again with the
         # pure one, whose messages are the ones reported.
         try:
-            data = yaml.safe_load(text)
+            data = _read_yaml(yaml, text, yaml.SafeLoader)
         except yaml.YAMLError as exc:
             raise LexiconError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise LexiconError("lexicon must be a mapping")
     unknown = set(data) - {"types", "theta", "entries"}
     if unknown:
-        raise LexiconError(f"unknown lexicon fields {sorted(unknown)!r}")
+        raise LexiconError(f"unknown lexicon fields {sorted(unknown, key=str)!r}")
     raw_types = data.get("types") or {}
     if not isinstance(raw_types, dict):
         raise LexiconError("'types' must map basic types to words")
@@ -430,7 +461,7 @@ def load_lexicon(text: str) -> Lexicon:
 
     theta = data.get("theta", 0)
     if isinstance(theta, bool) or not isinstance(theta, int) or theta < 0:
-        raise LexiconError(f"'theta' must be a nonnegative integer, got {theta!r}")
+        raise LexiconError(f"'theta' must be a nonnegative integer, got {_SHORT.repr(theta)}")
 
     lexicon = Lexicon(assignments, {}, theta)
     entries = {}
@@ -443,7 +474,7 @@ def load_lexicon(text: str) -> Lexicon:
         for field in ("type", "structure"):
             if not isinstance(record[field], str):
                 raise LexiconError(
-                    f"entry {word!r}: {field!r} must be a string, got {record[field]!r}"
+                    f"entry {word!r}: {field!r} must be a string, got {_SHORT.repr(record[field])}"
                 )
         try:
             entry_type = parse_type(record["type"])

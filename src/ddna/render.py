@@ -2,7 +2,9 @@
 
 SVG output puts bases on horizontal rows and draws each base pair as an
 elliptical arc whose height is its nesting depth times a fixed
-increment, so deep stems stay readable.  A-T pairs and C-G pairs get the
+increment, so deep stems stay readable.  Structures and diagrams share
+one row layout: a position has the same x on every row, and the drawing
+is as wide as its longest row.  A-T pairs and C-G pairs get the
 two configured colors; nothing else is ever stroked in color.  Identical
 inputs always produce byte-identical documents.
 """
@@ -11,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import SecondaryStructure, arc_depths, brackets_of, pair_class
+from .core import SecondaryStructure, arc_depths, emit_dotbracket, pair_class
 from .diagram import Diagram
 
 _FONT = 14.0
@@ -67,18 +68,24 @@ def _depths(
     return ordered, depths
 
 
-def _text(x: float, y: float, glyph: str) -> str:
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
-        f'font-size="{_fmt(_FONT)}" text-anchor="middle">{glyph}</text>'
-    )
+def _x(pos: int, style: RenderStyle) -> float:
+    """Where position ``pos`` (1-based) sits on any row."""
+    return style.spacing + (pos - 1) * style.spacing
+
+
+def _glyphs(word: str, y: float, style: RenderStyle) -> list[str]:
+    """One letter glyph per position of ``word``, on the row at ``y``."""
+    return [
+        f'<text x="{_fmt(_x(pos, style))}" y="{_fmt(y)}" font-family="monospace" '
+        f'font-size="{_fmt(_FONT)}" text-anchor="middle">{base}</text>'
+        for pos, base in enumerate(word, start=1)
+    ]
 
 
 def _arc_paths(
     word: str,
     arcs: list[tuple[int, int]],
     depths: dict[tuple[int, int], int],
-    x_of: Callable[[int], float],
     y: float,
     upward: bool,
     style: RenderStyle,
@@ -89,7 +96,7 @@ def _arc_paths(
     sweep = 1 if upward else 0
     paths = []
     for i, j in arcs:
-        x1, x2 = x_of(i), x_of(j)
+        x1, x2 = _x(i, style), _x(j, style)
         rx, height = (x2 - x1) / 2, depths[i, j] * style.arc_height
         color = style.color_for_pair(word[i - 1], word[j - 1])
         paths.append(
@@ -99,7 +106,9 @@ def _arc_paths(
     return paths
 
 
-def _document(width: float, height: float, body: list[str]) -> str:
+def _document(n: int, height: float, body: list[str], style: RenderStyle) -> str:
+    """The SVG document around ``body``, wide enough for rows of ``n`` letters."""
+    width = 2 * style.spacing + max(n - 1, 0) * style.spacing
     # Finite options can still overflow: 1e308 spacing makes the width inf.
     if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError(
@@ -116,23 +125,12 @@ def _document(width: float, height: float, body: list[str]) -> str:
 
 def render_structure_svg(structure: SecondaryStructure, style: RenderStyle = RenderStyle()) -> str:
     """Bases on one line, pairs as colored arcs in the upper half-plane."""
-    n = len(structure.word)
     arcs, depths = _depths(structure.arcs)
-    max_depth = max(depths.values(), default=0)
-    margin = style.spacing
-    top = margin + max_depth * style.arc_height
+    top = style.spacing + max(depths.values(), default=0) * style.arc_height
     baseline = top + _GAP + _FONT
-    width = 2 * margin + max(n - 1, 0) * style.spacing
-    height = baseline + margin
-
-    def x_of(pos: int) -> float:
-        return margin + (pos - 1) * style.spacing
-
-    y = baseline - _FONT - _GAP
-    body = _arc_paths(structure.word, arcs, depths, x_of, y, True, style)
-    for pos, base in enumerate(structure.word, start=1):
-        body.append(_text(x_of(pos), baseline, base))
-    return _document(width, height, body)
+    body = _arc_paths(structure.word, arcs, depths, baseline - _FONT - _GAP, True, style)
+    body += _glyphs(structure.word, baseline, style)
+    return _document(len(structure.word), baseline + style.spacing, body, style)
 
 
 def _wire_arrow(x1: float, y1: float, x2: float, y2: float, base: str, color: str) -> str:
@@ -151,23 +149,15 @@ def render_diagram_svg(d: Diagram, style: RenderStyle = RenderStyle()) -> str:
     src_arcs, src_depths = _depths(d.source_arcs)
     tgt_arcs, tgt_depths = _depths(d.target_arcs)
     levels = max(src_depths.values(), default=0) + max(tgt_depths.values(), default=0)
-    margin = style.spacing
-    n = max(len(d.source), len(d.target))
-    width = 2 * margin + max(n - 1, 0) * style.spacing
-    y_src = margin + _FONT
+    y_src = style.spacing + _FONT
     y_tgt = y_src + (levels + 2) * style.arc_height + 2 * style.spacing
-    height = y_tgt + margin
-
-    def x_of(pos: int) -> float:
-        return margin + (pos - 1) * style.spacing
-
     y1, y2 = y_src + _GAP, y_tgt - _FONT - _GAP
     body = [
-        *_arc_paths(d.source, src_arcs, src_depths, x_of, y1, False, style),
-        *_arc_paths(d.target, tgt_arcs, tgt_depths, x_of, y2, True, style),
+        *_arc_paths(d.source, src_arcs, src_depths, y1, False, style),
+        *_arc_paths(d.target, tgt_arcs, tgt_depths, y2, True, style),
     ]
     for i, j in sorted(d.through):
-        x1, x2 = x_of(i), x_of(j)
+        x1, x2 = _x(i, style), _x(j, style)
         color = style.color_for_base(d.source[i - 1])
         mid = (y1 + y2) / 2
         body.append(
@@ -177,11 +167,8 @@ def render_diagram_svg(d: Diagram, style: RenderStyle = RenderStyle()) -> str:
         )
         if style.show_direction_arrows:
             body.append(_wire_arrow(x1, y1, x2, y2, d.source[i - 1], color))
-    for pos, base in enumerate(d.source, start=1):
-        body.append(_text(x_of(pos), y_src, base))
-    for pos, base in enumerate(d.target, start=1):
-        body.append(_text(x_of(pos), y_tgt, base))
-    return _document(width, height, body)
+    body += _glyphs(d.source, y_src, style) + _glyphs(d.target, y_tgt, style)
+    return _document(max(len(d.source), len(d.target)), y_tgt + style.spacing, body, style)
 
 
 def render_structure_text(structure: SecondaryStructure) -> str:
@@ -195,5 +182,4 @@ def render_structure_text(structure: SecondaryStructure) -> str:
     sketch = ["."] * len(structure.word)
     for (i, j), depth in depths.items():
         sketch[i - 1] = sketch[j - 1] = str(depth % 10)
-    lines = [structure.word, brackets_of(structure), "".join(sketch)]
-    return "\n".join(lines) + "\n"
+    return emit_dotbracket(structure) + "".join(sketch) + "\n"

@@ -59,6 +59,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 ALPHABET = "ACGT"
 
 
+# Lexicons that crashed ``load_lexicon`` (libyaml's recursion segfaulted at
+# 30,000 levels, the pure loader and ``repr`` hit the recursion limit) or
+# escaped it as a bare TypeError or ValueError, each with the start of the
+# LexiconError it now raises.
+HOSTILE_LEXICONS = {
+    "flow-1000-deep": (
+        "theta: " + "[" * 1000 + "]" * 1000 + "\n",
+        "lexicon nests deeper than 8 levels (line 1)",
+    ),
+    "block-2000-deep": (
+        "theta:\n" + "- " * 2000 + "x\n",
+        "lexicon nests deeper than 8 levels (line 2)",
+    ),
+    "mixed-key-types": ("1: x\nfoo: y\n", "unknown lexicon fields [1, 'foo']"),
+    "impossible-date": ("theta: 2024-13-45\n", "not valid YAML: month must be in 1..12"),
+    "5000-digit-int": ("types: {n: " + "1" * 5000 + "}\n", "not valid YAML: Exceeds the limit"),
+}
+
+
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 

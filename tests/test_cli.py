@@ -6,7 +6,23 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ddna.cli import main
-from _oracles import FIXTURES, fixture_text
+from _oracles import FIXTURES, HOSTILE_LEXICONS, fixture_text
+
+# ``main`` in a fresh interpreter, with PyYAML's libyaml loader or without it.
+RUN_MAIN = """
+import sys, yaml
+if sys.argv.pop(1) == "pure":
+    del yaml.CSafeLoader
+from ddna.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+CLI_HOSTILE_LEXICONS = {
+    **HOSTILE_LEXICONS,
+    "flow-30000-deep": (
+        "theta: " + "[" * 30_000 + "]" * 30_000 + "\n",
+        "lexicon nests deeper than 8 levels (line 1)",
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -454,6 +470,26 @@ class TestErrorBoundary:
         code, out, err = run(capsys, "parse", "Cats", "--lexicon", bad, "--goal", "n")
         self.assert_one_line_error(code, out, err)
         assert err == f"ddna: {bad}: entry 'Cats': 'structure' must be a string, got None\n"
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    @pytest.mark.parametrize("name", sorted(CLI_HOSTILE_LEXICONS))
+    def test_hostile_lexicon_is_one_error_line(self, tmp_path, name, loader):
+        # In a subprocess: libyaml's recursion used to segfault (exit 139) at
+        # 30,000 levels, which would end the test run.
+        text, message = CLI_HOSTILE_LEXICONS[name]
+        lexicon = tmp_path / "lexicon.yaml"
+        lexicon.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+        argv = ["parse", "Cats", "--lexicon", str(lexicon), "--goal", "n"]
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_MAIN, loader, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        self.assert_one_line_error(done.returncode, done.stdout, done.stderr)
+        assert done.stderr.startswith(f"ddna: {lexicon}: {message}")
 
     @pytest.mark.parametrize(
         "argv",

@@ -30,7 +30,7 @@ from ddna import (
     validate,
 )
 from ddna.structures import FoldConfig
-from _oracles import FIXTURES, fixture_text
+from _oracles import FIXTURES, HOSTILE_LEXICONS, fixture_text
 
 N_WORD = "AGGAACTGGAAG"
 S_WORD = "GCTAGCATCGAT"
@@ -280,6 +280,19 @@ class TestMeaning:
         assert structure == SecondaryStructure(S_WORD, {(3, 4), (5, 9)})
 
 
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_loader(request, monkeypatch):
+    """Run once with PyYAML's libyaml loader and once with its pure one,
+    which ``load_lexicon`` falls back to when libyaml is missing."""
+    import yaml
+
+    if request.param == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    return request.param
+
+
 class TestLoadLexicon:
     def test_fixture_loads(self):
         lexicon = load_lexicon(fixture_text("lexicon.yaml"))
@@ -375,16 +388,31 @@ class TestLoadLexicon:
             load_lexicon(f"types: {{n: {word}}}\nentries: {{}}\n")
 
     @pytest.mark.parametrize(
-        "value,kind",
-        [("*a5", "list"), ("{AT: *a5}", "dict"), ("[]", "list"), ("{}", "dict")],
-        ids=["aliased-list", "aliased-dict", "empty-list", "empty-dict"],
+        "layout,message",
+        [
+            ("theta: {lists}\ntypes: {{n: *a5}}\n", "type 'n' maps to a list, not a word"),
+            ("theta: {lists}\ntypes: {{n: {{AT: *a5}}}}\n", "type 'n' maps to a dict, not a word"),
+            ("theta: {lists}\ntypes: {{n: []}}\n", "type 'n' maps to a list, not a word"),
+            ("theta: {lists}\ntypes: {{n: {{}}}}\n", "type 'n' maps to a dict, not a word"),
+            (
+                "theta: {lists}\ntypes: {{n: AT}}\n",
+                "'theta' must be a nonnegative integer, got "
+                "[[...], [...], [...], [...], [...], [...]]",
+            ),
+            (
+                "types: {{n: AT}}\nentries:\n  Cats: {{type: {lists}, structure: ''}}\n",
+                "entry 'Cats': 'type' must be a string, got "
+                "[[...], [...], [...], [...], [...], [...]]",
+            ),
+        ],
+        ids=["aliased-list", "aliased-dict", "empty-list", "empty-dict", "theta", "entry-type"],
     )
-    def test_container_type_word_is_refused_before_it_is_spelled_out(self, value, kind):
+    def test_container_type_word_is_refused_before_it_is_spelled_out(self, layout, message):
         # Nine-way lists six deep behind YAML aliases: about 320 bytes of text
         # whose str() used to be a 24.6-million-character error after 11 s.
         lists = ["&a0 [" + ", ".join(["AT"] * 9) + "]"]
         lists += [f"&a{d} [" + ", ".join([f"*a{d - 1}"] * 9) + "]" for d in range(1, 6)]
-        text = f"theta: [{', '.join(lists)}]\ntypes: {{n: {value}}}\n"
+        text = layout.format(lists=f"[{', '.join(lists)}]")
         tracemalloc.start()
         try:
             with pytest.raises(LexiconError) as err:
@@ -392,8 +420,15 @@ class TestLoadLexicon:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(err.value) == f"type 'n' maps to a {kind}, not a word"
-        assert peak < 2_000_000
+        assert str(err.value) == message
+        assert len(message) < 100 and peak < 2_000_000
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LEXICONS))
+    def test_hostile_lexicon_is_a_lexicon_error(self, name, yaml_loader):
+        text, message = HOSTILE_LEXICONS[name]
+        with pytest.raises(LexiconError) as err:
+            load_lexicon(text)
+        assert str(err.value).startswith(message) and len(str(err.value)) < 200
 
     @pytest.mark.parametrize(
         "record,message",
@@ -417,3 +452,9 @@ class TestLoadLexicon:
             from_text.entries,
             from_text.min_loop,
         )
+
+    def test_file_loader_matches_text_loader_without_libyaml(self, monkeypatch):
+        import yaml
+
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        self.test_file_loader_matches_text_loader()
