@@ -37,7 +37,7 @@ class DotBracketError(ValueError):
     """Malformed dot-bracket text (length mismatch, unbalanced brackets, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One broken invariant, with enough detail to point at the offender."""
 
@@ -63,7 +63,7 @@ def canonical_word(text: str) -> str:
     'ACGT'
     """
     word = text.upper()
-    bad = list(word.translate(_DROP_ALPHABET))
+    bad = list(dict.fromkeys(word.translate(_DROP_ALPHABET)))
     if bad:
         raise AlphabetError(f"invalid letters {bad!r}; words use only A, C, G, T")
     return word
@@ -221,33 +221,36 @@ SHARED = 16  # a span with at most this many matchings is listed once and shared
 
 def matchings(
     root: tuple[int, int],
-    first: Mapping[tuple[int, int], tuple[int, int] | None],
     choices: Callable[[tuple[int, int]], list[tuple[int, int]]],
+    first: Mapping[tuple[int, int], tuple[int, int] | None] | None = None,
 ) -> Iterator[list[tuple[int, int]]]:
     """Yield the noncrossing matchings of the closed span ``root``, ``(lo,
     hi)``, one list of sorted arcs reused between yields, in sorted order.
 
     An interval table describes them.  An arc ``(p, k)`` of a span ``(lo,
     hi)`` leaves ``lo..p-1`` unmatched and the spans ``(p+1, k-1)`` inside
-    it and ``(k+1, hi)`` after it to match.  ``first[span]`` is the span's
-    first arc, or falsy when its only matching is empty; ``choices(span)``
-    lists every arc that opens one of its matchings, ascending.  The first
-    matching follows ``first`` alone.  Later ones backtrack to the last
-    span with another choice, and a span with at most :data:`SHARED`
-    matchings is then listed once, from an explicit stack, and taken
-    whole: one with a single matching costs no decision.  Nothing recurses.
+    it and ``(k+1, hi)`` after it to match.  ``choices(span)`` lists every
+    arc that opens one of the span's matchings, ascending; an empty list
+    means its only matching is the empty one.  ``first``, a shortcut, maps
+    a span to its first choice (falsy for none) without listing the rest.
+    The first matching takes each span's first choice.  Later ones
+    backtrack to the last span with another choice, and a span with at
+    most :data:`SHARED` matchings is then listed once, from an explicit
+    stack, and taken whole: one with a single matching costs no decision.
+    No span's choices are listed more than twice.  Nothing recurses.
     """
     arcs: list = []
     # One entry per span decided: (span, index of its option, its options --
-    # None until backtracking needs them --, whether they are whole
-    # matchings, the spans left after it, len(arcs)): what backtracking restores.
+    # None where ``first`` chose, until backtracking --, whether they are
+    # whole matchings, the spans left after it, len(arcs)): what backtracking restores.
     decisions: list = []
     todo = (root, None) if root[0] <= root[1] else None  # spans left, as (span, rest)
-    while todo is not None:  # the first matching follows ``first`` alone
+    while todo is not None:  # the first matching takes each span's first choice
         span, todo = todo
-        arc = first[span]
+        options = choices(span) if first is None else None
+        arc = first[span] if options is None else options and options[0]
         if arc:
-            decisions.append((span, 0, None, False, todo, len(arcs)))
+            decisions.append((span, 0, options, False, todo, len(arcs)))
             arcs.append(arc)
             p, k = arc
             if k < span[1]:
@@ -268,10 +271,10 @@ def matchings(
                 continue
             hi = span[1]
             if options is None:  # first visit: list its parts first
-                if not first[span]:
+                options = choices(span)
+                if not options:
                     lists[span] = empty
                     continue
-                options = choices(span)
                 stack.append((span, options))
                 for p, k in options:
                     if k > p + 1:

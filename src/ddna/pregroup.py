@@ -286,7 +286,7 @@ def all_reductions(
 
     if not holds(1, n):
         return
-    for arcs in matchings((1, n), memo, choices_of):
+    for arcs in matchings((1, n), choices_of, memo):
         yield ReductionProof(
             frozenset([arc for arc in arcs if arc[1] <= m]), tuple([p for p, k in arcs if k > m])
         )

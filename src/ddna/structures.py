@@ -248,10 +248,11 @@ def max_bond_witnesses(
 
     def choices(span: tuple[int, int]) -> list[tuple[int, int]]:
         # The arcs (p, k) that open some witness on i..j, in sorted order: p
-        # runs over the positions that keep best[p][j] at the target.
+        # runs over the positions that keep best[p][j] at the target.  An
+        # interval with no bonds has only the empty witness.
         i, j = span
         target, arcs, p = best[i][j], [], i
-        while best[p][j] == target:
+        while target and best[p][j] == target:
             for k in partners[p]:
                 if k > j:
                     break
@@ -260,17 +261,5 @@ def max_bond_witnesses(
             p += 1
         return arcs
 
-    arcs = matchings((1, len(word)), _FirstArcs(best, choices), choices)
+    arcs = matchings((1, len(word)), choices)
     return map(SecondaryStructure.unchecked, repeat(word), arcs)
-
-
-class _FirstArcs(dict):
-    """``span -> its first co-optimal arc``, or None on an interval with no
-    bonds, read off ``choices`` and not stored: the walk asks at most twice."""
-
-    def __init__(self, best: list[list[int]], choices) -> None:
-        self.best, self.choices = best, choices
-
-    def __missing__(self, span: tuple[int, int]) -> tuple[int, int] | None:
-        i, j = span
-        return self.choices(span)[0] if self.best[i][j] else None

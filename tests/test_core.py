@@ -55,6 +55,16 @@ def test_canonical_word_uppercases_and_validates():
         canonical_word("ACGU")
 
 
+def test_canonical_word_names_each_invalid_letter_once_in_order_of_first_use():
+    with pytest.raises(AlphabetError) as caught:
+        canonical_word("AUxGUNuX")
+    assert str(caught.value) == "invalid letters ['U', 'X', 'N']; words use only A, C, G, T"
+    with pytest.raises(AlphabetError) as caught:
+        canonical_word("ACGU" * 250_000)  # the message does not grow with the word
+    assert str(caught.value) == "invalid letters ['U']; words use only A, C, G, T"
+    assert len(str(caught.value)) < 100
+
+
 @pytest.mark.parametrize(
     "word,expected",
     [("ACG", "CGT"), ("", ""), ("GAATCTCTC", "GAGAGATTC"), ("A", "T")],

@@ -121,3 +121,30 @@ def test_every_imported_name_is_used(path):
                 if name not in used:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("ddna/*.py")), ids=lambda p: p.name)
+def test_every_private_module_name_is_read(path):
+    """Each ``_name`` a module defines at top level -- function, class or
+    assigned value -- is read somewhere in it, so no dead helper is left."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined += [
+                    (name.id, name.lineno) for name in ast.walk(target) if isinstance(name, ast.Name)
+                ]
+    unread = [
+        f"{path.name}:{line} {name}"
+        for name, line in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert unread == []
