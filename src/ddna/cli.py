@@ -176,7 +176,7 @@ def _cmd_fold(args) -> None:
 
 
 def _format_proof(proof: ReductionProof) -> str:
-    links = " ".join(f"({p},{q})" for p, q in sorted(proof.links)) or "-"
+    links = " ".join(f"({p},{q})" for p, q in proof.sorted_links()) or "-"
     survivors = " ".join(str(s) for s in proof.survivors) or "-"
     return f"links: {links}\nsurvivors: {survivors}\n"
 

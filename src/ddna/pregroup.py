@@ -114,12 +114,74 @@ def parse_type(text: str) -> PregroupType:
     return PregroupType(tuple(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionProof:
-    """A contraction link set plus the surviving term positions (1-based)."""
+    """A contraction link set plus the surviving term positions (1-based).
+
+    A proof listed by :func:`all_reductions` keeps the walk's arcs (its
+    links and each survivor's arc into the bent goal) as one tuple, with
+    the sentence length m, until ``links`` or ``survivors`` is read; the
+    first read splits them and stores each field it builds.  Only ``links``
+    builds a set, so writing a proof out through :meth:`sorted_links`
+    builds none.  Threads racing on a first read store equal values.
+    """
 
     links: frozenset[tuple[int, int]]
     survivors: tuple[int, ...]
+
+    def sorted_links(self) -> tuple[tuple[int, int], ...]:
+        """The links by left end; a listed proof builds no set for them."""
+        links = _raw_links(self)
+        if links.__class__ is _WalkArcs:
+            m = _sentence_length(self, links)
+            return tuple([arc for arc in links if arc[1] <= m])
+        return tuple(sorted(links))
+
+
+class _WalkArcs(tuple):
+    """The arcs a listed proof holds in its ``links`` slot until ``links`` is read."""
+
+    __slots__ = ()
+
+
+# The slots' own accessors, which skip the frozen ``__setattr__``, as for
+# ``SecondaryStructure``: ``all_reductions`` builds every proof through them.
+_set_links = ReductionProof.links.__set__
+_raw_links = ReductionProof.links.__get__
+_set_survivors = ReductionProof.survivors.__set__
+_raw_survivors = ReductionProof.survivors.__get__
+
+
+def _sentence_length(self: ReductionProof, arcs: _WalkArcs) -> int:
+    """m for a listed proof with the walk ``arcs``, storing the survivors if
+    its survivors slot still holds m.  They are stored before ``links``
+    replaces the arcs, so a reader that found the arcs finds one or the other."""
+    m = _raw_survivors(self)
+    if m.__class__ is int:
+        _set_survivors(self, tuple([p for p, k in arcs if k > m]))
+        return m
+    return 2 * len(arcs) - len(m)  # each arc past m joins a survivor to the bent goal
+
+
+def _survivors(self: ReductionProof) -> tuple[int, ...]:
+    arcs = _raw_links(self)
+    if arcs.__class__ is _WalkArcs:
+        _sentence_length(self, arcs)
+    return _raw_survivors(self)
+
+
+def _links(self: ReductionProof) -> frozenset[tuple[int, int]]:
+    links = _raw_links(self)
+    if links.__class__ is _WalkArcs:
+        m = _sentence_length(self, links)
+        links = frozenset([arc for arc in links if arc[1] <= m])
+        _set_links(self, links)
+    return links
+
+
+# The generated ``__init__`` and unpickling store through the setters.
+ReductionProof.links = property(_links, _set_links, doc="The contraction links, as a frozenset.")
+ReductionProof.survivors = property(_survivors, _set_survivors, doc="The survivors, ascending.")
 
 
 def proof_violations(
@@ -128,7 +190,7 @@ def proof_violations(
     """Re-check a proof: partition, typing, noncrossing, and no survivor
     stranded under a link (which would make the functor image non-planar)."""
     violations = []
-    links = sorted(proof.links)
+    links = proof.sorted_links()
     used = list(proof.survivors)
     for p, q in links:
         used.extend((p, q))
@@ -202,9 +264,9 @@ def all_reductions(
     term, so for m terms and a d-term goal the memo holds O(m (m + d))
     entries, each found by one scan of its first term's sentence partners:
     rejecting costs O(m^2 (m + d)) time at worst.  The proofs are the full
-    contractions :func:`ddna.core.matchings` lists over the memo, each split
-    into its links within the sentence and its survivors; the first proof
-    follows the memo's first choices.  The search and the walk keep
+    contractions :func:`ddna.core.matchings` lists over the memo, each kept
+    as the walk's arcs until its links or survivors are read; the first
+    proof follows the memo's first choices.  The search and the walk keep
     explicit stacks: nothing recurses on sentence length.
     """
     if (sum(len(t.terms) for t in types) + len(goal.terms)) % 2:  # links remove terms in pairs
@@ -286,10 +348,12 @@ def all_reductions(
 
     if not holds(1, n):
         return
+    new = object.__new__
     for arcs in matchings((1, n), choices_of, memo):
-        yield ReductionProof(
-            frozenset([arc for arc in arcs if arc[1] <= m]), tuple([p for p, k in arcs if k > m])
-        )
+        proof = new(ReductionProof)
+        _set_links(proof, _WalkArcs(arcs))
+        _set_survivors(proof, m)
+        yield proof
 
 
 def find_reduction(
@@ -358,7 +422,7 @@ def _reduction_diagram(
     kept = [i for s in proof.survivors for i in range(offsets[s - 1] + 1, offsets[s] + 1)]
     source_arcs = chain.from_iterable(  # letter k of p pairs with len + 1 - k of q
         zip(range(offsets[p - 1] + 1, offsets[p] + 1), range(offsets[q], offsets[q - 1], -1))
-        for p, q in proof.links
+        for p, q in proof.sorted_links()
     )
     target = "".join(source[offsets[s - 1] : offsets[s]] for s in proof.survivors)
     return Diagram.unchecked(source, target, zip(kept, range(1, len(kept) + 1)), source_arcs)

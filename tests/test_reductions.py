@@ -2,6 +2,11 @@
 exponential and pairwise references, plus regressions at the sizes where
 the old search ran out of time or memory."""
 
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
 from itertools import islice
 
 import pytest
@@ -84,6 +89,7 @@ def test_proofs_match_the_reference_search(case):
     assert find_reduction(types, goal) == (proofs[0] if proofs else None)
     terms = tuple(t for typ in types for t in typ.terms)
     assert all(proof_violations(p, terms) == [] for p in proofs)
+    assert all(p.sorted_links() == tuple(sorted(p.links)) for p in proofs)
 
 
 def test_long_alternating_sentence_is_rejected():
@@ -147,6 +153,96 @@ def test_long_goals_reduce():
     types = [parse_type("s")] + [parse_type("a a^r")] * 1500 + [parse_type("s")]
     proof = ReductionProof(frozenset((2 * i, 2 * i + 1) for i in range(1, 1501)), (1, 3002))
     assert list(all_reductions(types, parse_type("s s"))) == [proof]
+
+
+class TestListedProofValue:
+    """Listed proofs keep the walk's arcs in slots, with value semantics intact."""
+
+    # n n^r s n^l n reduces to s through the links (1,2) and (4,5); the
+    # walk's arc (3,6) joins the survivor to the bent goal between them.
+    TYPES = [parse_type("n"), parse_type("n^r s n^l"), parse_type("n")]
+    BUILT = ReductionProof(frozenset({(4, 5), (1, 2)}), (3,))
+    # What is read before the test, if anything: each read splits the arcs.
+    READS = {
+        "nothing": lambda p: None,
+        "links": lambda p: p.links,
+        "survivors": lambda p: p.survivors,
+        "sorted links": lambda p: p.sorted_links(),
+    }
+
+    @pytest.fixture(params=sorted(READS))
+    def listed(self, request):
+        (proof,) = all_reductions(self.TYPES, parse_type("s"))
+        self.READS[request.param](proof)
+        return proof
+
+    def test_listed_value_equals_the_built_one(self, listed):
+        assert listed == self.BUILT and hash(listed) == hash(self.BUILT)
+        assert repr(listed) == repr(self.BUILT)
+        assert listed != ReductionProof(frozenset({(1, 2)}), (3,))
+
+    def test_fields_read_as_a_frozenset_and_a_tuple(self, listed):
+        assert type(listed.links) is frozenset and listed.links is listed.links
+        assert listed.links == {(1, 2), (4, 5)}
+        assert type(listed.survivors) is tuple and listed.survivors == (3,)
+
+    def test_sorted_links_leave_out_the_survivor_arcs(self, listed):
+        assert listed.sorted_links() == self.BUILT.sorted_links() == ((1, 2), (4, 5))
+
+    def test_listed_value_keeps_the_dataclass_helpers(self, listed):
+        assert [f.name for f in dataclasses.fields(listed)] == ["links", "survivors"]
+        assert dataclasses.asdict(listed) == {"links": {(1, 2), (4, 5)}, "survivors": (3,)}
+        moved = dataclasses.replace(listed, survivors=(5,))
+        assert moved == ReductionProof(frozenset({(1, 2), (4, 5)}), (5,))
+
+    @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+    def test_listed_value_round_trips(self, listed, clone):
+        again = clone(listed)
+        assert again == self.BUILT and type(again.links) is frozenset
+
+    @pytest.mark.parametrize("field", ["links", "survivors"])
+    def test_fields_cannot_be_assigned_or_deleted(self, listed, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(listed, field, getattr(self.BUILT, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(listed, field)
+        assert not hasattr(listed, "__dict__")
+        assert listed == self.BUILT
+
+    def test_threads_racing_on_the_first_reads_agree(self):
+        # Each read splits the arcs and stores what it built; a thread that
+        # reads a field while another splits must still see the right value.
+        types = self.TYPES + [parse_type("n^r n n^l"), parse_type("n")] * 6
+        expected = [
+            (p.sorted_links(), p.survivors) for p in all_reductions_reference(types, parse_type("s"))
+        ]
+        reads = [
+            lambda p: (tuple(sorted(p.links)), p.survivors),
+            lambda p: (p.sorted_links(), p.survivors),
+            lambda p: (p.survivors, p.sorted_links())[::-1],
+        ] * 2
+        start = threading.Barrier(len(reads))
+        seen: list = []
+
+        def read_all(proofs, read):
+            start.wait(timeout=30)
+            seen.append([read(p) for p in proofs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                proofs = list(all_reductions(types, parse_type("s")))
+                threads = [threading.Thread(target=read_all, args=(proofs, r)) for r in reads]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(expected) == 132 and len(seen) == 100 * len(reads)
+        assert all(values == expected for values in seen)
 
 
 NOUN, ADJ, PREP, VERB, REL, CONJ = (

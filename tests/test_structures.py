@@ -13,12 +13,14 @@ from ddna import (
     AlphabetError,
     FoldConfig,
     SecondaryStructure,
+    all_reductions,
     count_max_bond,
     count_structures,
     enumerate_structures,
     is_member,
     max_bond,
     max_bond_witnesses,
+    parse_type,
     reverse_complement,
     structure_as_diagram,
     validate,
@@ -268,6 +270,21 @@ class TestWitnessStream:
             tracemalloc.stop()
         assert len(witnesses) == 16796
         assert peak < 6 * 2**20
+
+    def test_listed_proofs_hold_no_link_sets(self):
+        # Grammar proofs are matchings from the same walk: each keeps the
+        # walk's arcs as one tuple until ``links`` or ``survivors`` is read.
+        # A frozenset and a survivor tuple per proof took this listing's
+        # peak to 38.5 MB; the arc tuples alone take 4.6 MB.
+        types = [parse_type(t) for t in ["n", "n^r s n^l", "n"] + ["n^r n n^l", "n"] * 10]
+        tracemalloc.start()
+        try:
+            proofs = list(all_reductions(types, parse_type("s")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(proofs) == 16796  # Catalan(11)
+        assert peak < 12 * 2**20
 
     def test_first_witnesses_of_a_word_with_millions_come_without_listing_them(self):
         # Listing every interval's witnesses before the first one took 2.09 GB here.
